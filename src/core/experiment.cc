@@ -59,10 +59,10 @@ classStats(const app::RequestClass &info,
 }
 
 /**
- * Connection-management harvest shared by both run paths: scheduler
- * stats, client-side admission accounting, the servers' summed QP-cache
- * hit/miss counters, and the modeled connection-state footprint
- * comparison (every-client-live vs one-group-live).
+ * Connection-management harvest: scheduler stats, client-side
+ * admission accounting, the servers' summed QP-cache hit/miss
+ * counters, and the modeled connection-state footprint comparison
+ * (every-client-live vs one-group-live).
  */
 void
 harvestConnStats(const ExperimentConfig &cfg,
@@ -130,10 +130,25 @@ checkVerifyFailures(const ExperimentConfig &cfg, const RunStats &out)
     }
 }
 
+} // namespace
+
+std::uint64_t
+totalSimulatedEvents()
+{
+    return g_simulatedEvents.load(std::memory_order_relaxed);
+}
+
+std::vector<fault::FaultSpec>
+effectiveFaults(const ExperimentConfig &cfg)
+{
+    return cfg.faults;
+}
+
 /**
- * The cluster experiment: N server nodes — each a full RpcNode with
- * its own NI dispatch — behind the traffic generator's cluster router,
- * every node attached to the fabric by an explicit connect.
+ * The experiment engine: N server nodes — each a full RpcNode with its
+ * own NI dispatch — behind the traffic generator's cluster router,
+ * every node attached to the fabric by an explicit connect. The
+ * paper's single-node setup is N = 1 behind the "direct" router.
  *
  * With cfg.parallelDomains == 0 everything shares one event wheel and
  * the measurement window opens/closes on exact cluster-wide completion
@@ -149,7 +164,7 @@ checkVerifyFailures(const ExperimentConfig &cfg, const RunStats &out)
  * sequential path's per-completion windowing.
  */
 RunStats
-runClusterExperiment(const ExperimentConfig &cfg)
+runExperiment(const ExperimentConfig &cfg)
 {
     cfg.cluster.validate();
     cfg.retry.validate(cfg.cluster.requestTimeout);
@@ -165,7 +180,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
     // registry listing, not mid-run. The resolved timeline depends
     // only on the specs and the shape — never on execution order.
     const fault::Resolution faultPlan = fault::resolveFaults(
-        effectiveFaults(cfg),
+        cfg.faults,
         fault::ResolveContext{numServers, cfg.system.numCores, par});
     if (faultPlan.dropsPackets() && cfg.cluster.requestTimeout == 0) {
         sim::fatal(
@@ -173,6 +188,12 @@ runClusterExperiment(const ExperimentConfig &cfg)
             "(cluster.timeout / [cluster] timeout): a dropped request "
             "or reply is only recovered by the client's timeout-driven "
             "retry, so without one the run cannot complete");
+    }
+    if (faultPlan.crashesNodes() && cfg.cluster.requestTimeout == 0) {
+        sim::fatal(
+            "crash faults need a request timeout (cluster.timeout / "
+            "[cluster] timeout): without one a dead node is never "
+            "detected and the requests it swallowed are silently lost");
     }
 
     // Domain layout: [0] the client/traffic side, [1 .. numServers]
@@ -228,8 +249,10 @@ runClusterExperiment(const ExperimentConfig &cfg)
     //
     // One application instance per server node (independent stores;
     // correctness across replicas comes from the workloads' canonical
-    // value verification) plus a client-side instance for request
-    // generation and reply checking.
+    // value verification). Request generation and reply checking use
+    // server 0's instance in sequential runs, where one wheel
+    // serializes every call; parallel runs build a client-side
+    // instance, because makeRequest/handle are not thread-safe.
     std::vector<app::RpcApplicationPtr> apps;
     apps.reserve(numServers);
     std::vector<std::unique_ptr<node::RpcNode>> nodes;
@@ -275,17 +298,18 @@ runClusterExperiment(const ExperimentConfig &cfg)
             n->setDegradedWindows(degraded);
     }
 
-    const app::RpcApplicationPtr clientApp =
-        app::WorkloadRegistry::instance().make(cfg.workload);
-
-    if (par && clientApp->requestsPerArrival() > 1.0) {
+    if (par && apps[0]->requestsPerArrival() > 1.0) {
         sim::fatal(sim::strfmt(
             "workload '%s' issues nested RPC chains, which cross "
             "domains synchronously and cannot run under "
             "parallelDomains — use the sequential path "
             "(parallelDomains = 0)",
-            clientApp->name().c_str()));
+            apps[0]->name().c_str()));
     }
+    const app::RpcApplicationPtr parClientApp =
+        par ? app::WorkloadRegistry::instance().make(cfg.workload)
+            : nullptr;
+    app::RpcApplication &clientApp = par ? *parClientApp : *apps[0];
 
     cluster::ShardMap shards(
         cfg.cluster.shards != 0 ? cfg.cluster.shards : numServers,
@@ -309,7 +333,7 @@ runClusterExperiment(const ExperimentConfig &cfg)
     tp.connections = cfg.connections;
     tp.seed = cfg.system.seed;
     net::TrafficGenerator tg(clientSim, tp, cfg.system.domain,
-                             *clientApp, fabric, router.get(), &health,
+                             clientApp, fabric, router.get(), &health,
                              &shards);
 
     // Chained handlers (HandleResult.nested) issue their fan-out
@@ -342,9 +366,9 @@ runClusterExperiment(const ExperimentConfig &cfg)
     }
 
     // Timed faults arm as plain events on each victim node's own
-    // domain wheel, at the exact setup position the legacy failNode
-    // shim used — a bare crash reproduces the pre-fault event schedule
-    // tick for tick.
+    // domain wheel. Arming them here, between the wiring and the node
+    // starts, fixes their sequence numbers: moving it would reorder
+    // same-tick events and change results.
     fault::FaultScheduler faultScheduler(
         faultPlan,
         fault::FaultScheduler::Hooks{
@@ -459,9 +483,9 @@ runClusterExperiment(const ExperimentConfig &cfg)
     out.router = router->name();
     out.point.offeredRps = cfg.arrivalRps;
 
-    // Merge per-node recorders into cluster-level ones.
-    stats::LatencyRecorder critical(0);
-    stats::LatencyRecorder all(0);
+    // Merge per-node recorders into cluster-level ones, moving the
+    // samples over in node order (the nodes are done with them).
+    stats::LatencyRecorder critical;
     node::RpcNode::Breakdown merged_bd;
     const std::size_t numClasses = apps[0]->requestClasses().size();
     std::vector<stats::LatencyRecorder> classRec(
@@ -469,25 +493,16 @@ runClusterExperiment(const ExperimentConfig &cfg)
     std::uint64_t served_weight = 0;
     double service_weighted = 0.0;
     for (std::uint32_t i = 0; i < numServers; ++i) {
-        const node::RpcNode &n = *nodes[i];
-        for (const sim::Tick t : n.criticalLatency().samples())
-            critical.record(t);
-        for (const sim::Tick t : n.allLatency().samples())
-            all.record(t);
-        const auto &bd = n.breakdown();
-        for (const sim::Tick t : bd.reassembly.samples())
-            merged_bd.reassembly.record(t);
-        for (const sim::Tick t : bd.dispatch.samples())
-            merged_bd.dispatch.record(t);
-        for (const sim::Tick t : bd.queueWait.samples())
-            merged_bd.queueWait.record(t);
-        for (const sim::Tick t : bd.service.samples())
-            merged_bd.service.record(t);
-        const auto &accts = n.classAccounting();
-        for (std::size_t c = 0; c < accts.size(); ++c) {
-            for (const sim::Tick t : accts[c].latency.samples())
-                classRec[c].record(t);
-        }
+        node::RpcNode &n = *nodes[i];
+        critical.merge(std::move(n.criticalLatency()));
+        auto &bd = n.breakdown();
+        merged_bd.reassembly.merge(std::move(bd.reassembly));
+        merged_bd.dispatch.merge(std::move(bd.dispatch));
+        merged_bd.queueWait.merge(std::move(bd.queueWait));
+        merged_bd.service.merge(std::move(bd.service));
+        auto &accts = n.classAccounting();
+        for (std::size_t c = 0; c < accts.size(); ++c)
+            classRec[c].merge(std::move(accts[c].latency));
         service_weighted +=
             n.meanServiceTimeNs() * static_cast<double>(n.served());
         served_weight += n.served();
@@ -575,13 +590,11 @@ runClusterExperiment(const ExperimentConfig &cfg)
     }
     out.fault.activations = faultPlan.timeline;
     if (!degraded.empty()) {
-        stats::LatencyRecorder deg(0);
-        stats::LatencyRecorder healthy(0);
+        stats::LatencyRecorder deg;
+        stats::LatencyRecorder healthy;
         for (const auto &n : nodes) {
-            for (const sim::Tick t : n->degradedCritical().samples())
-                deg.record(t);
-            for (const sim::Tick t : n->healthyCritical().samples())
-                healthy.record(t);
+            deg.merge(std::move(n->degradedCritical()));
+            healthy.merge(std::move(n->healthyCritical()));
         }
         out.fault.degradedP99Ns = deg.percentileNs(99.0);
         out.fault.degradedSamples = deg.count();
@@ -597,186 +610,6 @@ runClusterExperiment(const ExperimentConfig &cfg)
     else
         checkVerifyFailures(cfg, out);
     return out;
-}
-
-/**
- * The single-node, single-wheel experiment — the default fast path,
- * bit-identical to previous releases (locked by
- * tests/core/kernel_identity_test.cc).
- */
-RunStats
-runSingleNodeExperiment(const ExperimentConfig &cfg,
-                        app::RpcApplication &app)
-{
-    cfg.system.validate();
-    cfg.cluster.validate();
-    cfg.retry.validate(cfg.cluster.requestTimeout);
-    cfg.connections.validate();
-    // Validate the router spec even though a single-node run never
-    // consults it: a typo should die here, not when the config is
-    // later scaled up.
-    (void)cluster::RouterRegistry::instance().make(cfg.cluster.router);
-    RV_ASSERT(cfg.arrivalRps > 0.0, "arrival rate must be positive");
-    RV_ASSERT(cfg.measuredRpcs > 0, "need at least one measured RPC");
-
-    // A client population makes the NI's connection-context cache
-    // finite; default configs pass cfg.system through untouched.
-    node::SystemParams sys = cfg.system;
-    if (cfg.connections.active()) {
-        sys.qpCacheCapacity = conn::effectiveQpCapacity(cfg.connections);
-        sys.qpColdFetch = sim::nanoseconds(cfg.connections.qpColdNs);
-    }
-
-    sim::EventDomain sim;
-    net::Fabric fabric(sim, cfg.system.fabricLatency);
-    node::RpcNode node(sim, sys, app, fabric, cfg.warmupRpcs);
-
-    net::TrafficGenerator::Params tp;
-    tp.arrivalRps = cfg.arrivalRps;
-    tp.arrival = cfg.arrival;
-    tp.targetNode = cfg.system.nodeId;
-    tp.clientTurnaround = cfg.clientTurnaround;
-    tp.connections = cfg.connections;
-    tp.seed = cfg.system.seed;
-    net::TrafficGenerator tg(sim, tp, cfg.system.domain, app, fabric);
-    node.setNestedIssuer(
-        [&tg](std::vector<std::vector<std::uint8_t>> requests,
-              std::function<void()> done) {
-            tg.issueNested(std::move(requests), std::move(done));
-        });
-    // Explicit topology wiring: one connect per emulated client node
-    // (no default sink — a packet to an unknown node is a hard fabric
-    // error, not silently absorbed).
-    for (proto::NodeId n = 0; n < cfg.system.domain.numNodes; ++n) {
-        if (n == cfg.system.nodeId)
-            continue; // the server node connected itself
-        fabric.connect(n, [&tg](proto::Packet pkt) {
-            tg.receivePacket(std::move(pkt));
-        });
-    }
-
-    sim::Tick measure_start = 0;
-    sim::Tick measure_end = 0;
-    const std::uint64_t target = cfg.warmupRpcs + cfg.measuredRpcs;
-    node.setCompletionHook([&](bool, sim::Tick) {
-        const std::uint64_t total = node.served();
-        if (total == cfg.warmupRpcs)
-            measure_start = sim.now();
-        if (total == target) {
-            measure_end = sim.now();
-            tg.halt();
-            sim.stop();
-        }
-    });
-
-    node.start();
-    tg.start();
-    sim.run();
-
-    RunStats out;
-    out.workload = app.name();
-    out.router = cfg.cluster.router.toString();
-    out.point.offeredRps = cfg.arrivalRps;
-    const auto &rec = node.criticalLatency();
-    out.point.meanNs = rec.meanNs();
-    out.point.p50Ns = rec.percentileNs(50.0);
-    out.point.p90Ns = rec.percentileNs(90.0);
-    out.point.p99Ns = rec.percentileNs(99.0);
-    out.point.samples = rec.count();
-    const double window_s = measure_end > measure_start
-                                ? sim::toSeconds(measure_end -
-                                                 measure_start)
-                                : 0.0;
-    if (window_s > 0.0) {
-        out.point.achievedRps =
-            static_cast<double>(cfg.measuredRpcs) / window_s;
-    }
-    out.meanServiceNs = node.meanServiceTimeNs();
-    out.completions = node.served();
-    out.criticalCompletions = node.servedCritical();
-    out.replySlotStalls = node.replySlotStalls();
-    out.flowControlDeferrals = tg.flowControlDeferrals();
-    out.verifyFailures = tg.verificationFailures();
-    out.simulatedUs = sim::toUs(sim.now());
-    out.executedEvents = sim.executedEvents();
-    g_simulatedEvents.fetch_add(sim.executedEvents(),
-                                std::memory_order_relaxed);
-    out.perCoreServed = node.perCoreServed();
-    out.recvSlotPeak = node.recvSlotPeak();
-    out.rendezvousRequests = tg.rendezvousRequests();
-    out.preemptionYields = node.preemptionYields();
-    const auto &bd = node.breakdown();
-    out.breakdown.reassembly = component(bd.reassembly);
-    out.breakdown.dispatch = component(bd.dispatch);
-    out.breakdown.queueWait = component(bd.queueWait);
-    out.breakdown.service = component(bd.service);
-
-    // Per-class breakdown: full tail accounting for every declared
-    // request class, non-critical ones (scans) included.
-    for (const auto &acct : node.classAccounting())
-        out.perClass.push_back(
-            classStats(acct.info, acct.latency, window_s));
-
-    // The single node as a one-entry cluster view.
-    NodeStats ns;
-    ns.nodeId = cfg.system.nodeId;
-    ns.failed = node.failed();
-    ns.served = node.served();
-    ns.criticalCompletions = node.servedCritical();
-    ns.samples = node.allLatency().count();
-    if (window_s > 0.0)
-        ns.achievedRps = static_cast<double>(ns.samples) / window_s;
-    ns.meanNs = node.allLatency().meanNs();
-    ns.p50Ns = node.allLatency().percentileNs(50.0);
-    ns.p99Ns = node.allLatency().percentileNs(99.0);
-    ns.perCoreServed = node.perCoreServed();
-    out.perNode.push_back(std::move(ns));
-    out.requestTimeouts = tg.requestTimeouts();
-    out.failoverReroutes = tg.failoverReroutes();
-    out.staleReplies = tg.staleReplies();
-    out.nestedRpcsSent = tg.nestedSent();
-    out.chainsCompleted = tg.chainsCompleted();
-    harvestConnStats(cfg, tg, node.qpCacheHits(), node.qpCacheMisses(),
-                     /*num_servers=*/1, out);
-
-    checkVerifyFailures(cfg, out);
-    return out;
-}
-
-} // namespace
-
-std::uint64_t
-totalSimulatedEvents()
-{
-    return g_simulatedEvents.load(std::memory_order_relaxed);
-}
-
-std::vector<fault::FaultSpec>
-effectiveFaults(const ExperimentConfig &cfg)
-{
-    std::vector<fault::FaultSpec> specs = cfg.faults;
-    if (cfg.cluster.failNode >= 0) {
-        // Legacy shim: the old hard-coded (failNode, failAt) pair is
-        // just a crash fault with no recovery.
-        specs.emplace_back(
-            sim::strfmt("crash:node=%d,at=%.3fns", cfg.cluster.failNode,
-                        sim::toNs(cfg.cluster.failAt)));
-    }
-    return specs;
-}
-
-RunStats
-runExperiment(const ExperimentConfig &cfg)
-{
-    // Any fault or active retry policy routes through the cluster
-    // path — the single-node fast path has no fabric perturbation or
-    // timeout sweep to hang them on.
-    if (cfg.cluster.numServerNodes > 1 || cfg.parallelDomains > 0 ||
-        !cfg.faults.empty() || cfg.retry.active())
-        return runClusterExperiment(cfg);
-    const app::RpcApplicationPtr app =
-        app::WorkloadRegistry::instance().make(cfg.workload);
-    return runSingleNodeExperiment(cfg, *app);
 }
 
 SweepResult

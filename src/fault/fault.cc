@@ -84,6 +84,16 @@ Resolution::dropsPackets() const
     return false;
 }
 
+bool
+Resolution::crashesNodes() const
+{
+    for (const Activation &a : timeline) {
+        if (a.kind == "crash")
+            return true;
+    }
+    return false;
+}
+
 std::vector<std::pair<sim::Tick, sim::Tick>>
 Resolution::degradedWindows() const
 {

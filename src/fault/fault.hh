@@ -2,10 +2,9 @@
  * @file
  * Fault injection: the fifth spec axis.
  *
- * The cluster layer's original fault model was one hard-coded
- * (failNode, failAt) pair; chaos experiments need composable, timed,
- * string-selectable fault models. This subsystem mirrors the
- * policy/arrival/workload/router registry architecture:
+ * Chaos experiments need composable, timed, string-selectable fault
+ * models. This subsystem mirrors the policy/arrival/workload/router
+ * registry architecture:
  *
  *  - FaultSpec       "name:key=value,..." (sim::Spec with fault
  *                    diagnostics), e.g. "crash:node=3,at=50us"
@@ -163,6 +162,11 @@ struct Resolution
      *  server reply-slot lease), so the experiment layer requires a
      *  request timeout and arms the lease when this holds. */
     bool dropsPackets() const;
+
+    /** True when any timed activation crashes a node. Only the
+     *  client's request timeout detects a dead node and recovers the
+     *  requests it swallowed, so the experiment layer requires one. */
+    bool crashesNodes() const;
 
     /**
      * Union of the timed activations' fault windows, merged and

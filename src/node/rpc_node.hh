@@ -127,10 +127,10 @@ class RpcNode
     /**
      * Enable/disable latency recording (cluster runs switch it on at
      * the measurement window; served counters always run). On by
-     * default, so single-node behavior is unchanged. Turning recording
-     * on also restarts the queue-occupancy high watermarks (private
-     * CQs, dispatcher shared CQs), so peak stats describe the measured
-     * window rather than warmup transients.
+     * default, so a stand-alone node records every RPC. Turning
+     * recording on also restarts the queue-occupancy high watermarks
+     * (private CQs, dispatcher shared CQs), so peak stats describe the
+     * measured window rather than warmup transients.
      */
     void setRecording(bool recording);
 
@@ -188,6 +188,14 @@ class RpcNode
 
     /** Component-wise latency decomposition. */
     const Breakdown &breakdown() const { return breakdown_; }
+
+    // Mutable views of the recorders above, for a harvest that moves
+    // their samples out (stats::LatencyRecorder::merge).
+    stats::LatencyRecorder &criticalLatency() { return criticalLatency_; }
+    std::vector<ClassAccounting> &classAccounting() { return classes_; }
+    Breakdown &breakdown() { return breakdown_; }
+    stats::LatencyRecorder &degradedCritical() { return degradedCritical_; }
+    stats::LatencyRecorder &healthyCritical() { return healthyCritical_; }
 
     /** Completed RPCs (all kinds). */
     std::uint64_t served() const { return servedTotal_; }

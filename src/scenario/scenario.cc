@@ -236,8 +236,15 @@ class Parser
     }
 
     void
-    finish() const
+    finish()
     {
+        // fail_node / fail_at are sugar for a crash fault with no
+        // recovery, declared after every [chaos] fault.
+        if (failNode_ >= 0) {
+            out_.base.faults.emplace_back(sim::strfmt(
+                "crash:node=%lld,at=%.3fns",
+                static_cast<long long>(failNode_), sim::toNs(failAt_)));
+        }
         const bool has_load = !out_.loadFractions.empty();
         const bool has_rps = !out_.absoluteRps.empty();
         if (has_load && has_rps) {
@@ -354,9 +361,9 @@ class Parser
             if (n < -1)
                 sim::fatal("'fail_node' must be -1 (none) or a server "
                            "index");
-            out_.base.cluster.failNode = static_cast<std::int32_t>(n);
+            failNode_ = n;
         } else if (key == "fail_at") {
-            out_.base.cluster.failAt = parseTick(value);
+            failAt_ = parseTick(value);
         } else if (key == "sweep_interval") {
             const sim::Tick t = parseTick(value);
             if (t == 0)
@@ -524,6 +531,9 @@ class Parser
     std::string section_;
     int line_ = 0;
     bool connSectionSeen_ = false;
+    /** [cluster] fail_node (-1 = none) and fail_at. */
+    std::int64_t failNode_ = -1;
+    sim::Tick failAt_ = 0;
 };
 
 Scenario

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -72,6 +73,20 @@ LatencyRecorder::reset()
     samples_.clear();
     sorted_.clear();
     sortedValid_ = false;
+}
+
+void
+LatencyRecorder::merge(LatencyRecorder &&donor)
+{
+    observed_ += donor.observed_;
+    if (samples_.empty()) {
+        samples_ = std::move(donor.samples_);
+    } else {
+        samples_.insert(samples_.end(), donor.samples_.begin(),
+                        donor.samples_.end());
+    }
+    sortedValid_ = false;
+    donor.reset();
 }
 
 } // namespace rpcvalet::stats

@@ -56,6 +56,14 @@ class LatencyRecorder
     /** Forget all samples and restart the warmup window. */
     void reset();
 
+    /**
+     * Take @p donor's retained samples, appended after this
+     * recorder's own in order (no warmup filtering): the vector moves
+     * when this recorder is empty and is appended otherwise. Leaves
+     * @p donor empty, as after reset().
+     */
+    void merge(LatencyRecorder &&donor);
+
     /** Read-only view of the retained samples (ticks). */
     const std::vector<sim::Tick> &samples() const { return samples_; }
 

@@ -119,8 +119,7 @@ TEST(ClusterExperiment, NodeFailureIsDetectedAndTrafficReroutes)
     cfg.measuredRpcs = 6000;
     cfg.cluster.requestTimeout = sim::microseconds(30.0);
     cfg.cluster.failThreshold = 3;
-    cfg.cluster.failNode = 3;
-    cfg.cluster.failAt = sim::microseconds(20.0);
+    cfg.faults = {"crash:node=3,at=20us"};
 
     const core::RunStats r = core::runExperiment(cfg);
     // The victim died mid-run: its requests timed out, the health
@@ -162,23 +161,6 @@ TEST(ClusterConfigDeath, ValidateRejectsInconsistentSettings)
             c.validate();
         },
         ::testing::ExitedWithCode(1), "numServerNodes must be >= 1");
-    EXPECT_EXIT(
-        {
-            cluster::ClusterConfig c;
-            c.numServerNodes = 2;
-            c.failNode = 2;
-            c.requestTimeout = 1;
-            c.validate();
-        },
-        ::testing::ExitedWithCode(1), "failNode 2 is out of range");
-    EXPECT_EXIT(
-        {
-            cluster::ClusterConfig c;
-            c.numServerNodes = 2;
-            c.failNode = 1;
-            c.validate();
-        },
-        ::testing::ExitedWithCode(1), "requires requestTimeout > 0");
 }
 
 TEST(SweepConfigDeath, ValidatesThreadsAndRates)

@@ -176,4 +176,21 @@ TEST(ChaosExperimentDeath, PacketLossWithoutTimeoutRefusesToRun)
         "packet-loss faults need a request timeout");
 }
 
+TEST(ChaosExperimentDeath, CrashWithoutTimeoutRefusesToRun)
+{
+    // Without a timeout nothing detects the dead node: the requests it
+    // swallowed vanish and the run would report a clean tail.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            core::ExperimentConfig cfg = chaosConfig(7);
+            cfg.faults = {"crash:node=3,at=20us"};
+            cfg.cluster.requestTimeout = 0;
+            cfg.cluster.recoveryAfter = 0;
+            cfg.retry = fault::RetryPolicy{};
+            (void)core::runExperiment(cfg);
+        },
+        ::testing::ExitedWithCode(1), "crash faults need a request timeout");
+}
+
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -112,6 +113,67 @@ TEST(LatencyRecorder, ResetClearsEverything)
     EXPECT_EQ(rec.count(), 0u);
     rec.record(nanoseconds(8));
     EXPECT_EQ(rec.count(), 1u);
+}
+
+TEST(LatencyRecorder, MergeIntoEmptyTargetMovesTheSamples)
+{
+    LatencyRecorder donor;
+    donor.record(nanoseconds(3));
+    donor.record(nanoseconds(1));
+    donor.record(nanoseconds(2));
+    const rpcvalet::sim::Tick *buffer = donor.samples().data();
+
+    LatencyRecorder target;
+    target.merge(std::move(donor));
+    EXPECT_EQ(target.samples().data(), buffer); // moved, not copied
+    EXPECT_EQ(target.samples(),
+              (std::vector<rpcvalet::sim::Tick>{
+                  nanoseconds(3), nanoseconds(1), nanoseconds(2)}));
+    EXPECT_EQ(target.observed(), 3u);
+    EXPECT_EQ(donor.count(), 0u);
+    EXPECT_EQ(donor.observed(), 0u);
+    EXPECT_DOUBLE_EQ(donor.p99Ns(), 0.0);
+}
+
+TEST(LatencyRecorder, MergeAppendsAfterExistingSamples)
+{
+    LatencyRecorder target;
+    target.record(nanoseconds(5));
+    LatencyRecorder donor;
+    donor.record(nanoseconds(7));
+    donor.record(nanoseconds(6));
+
+    target.merge(std::move(donor));
+    EXPECT_EQ(target.samples(),
+              (std::vector<rpcvalet::sim::Tick>{
+                  nanoseconds(5), nanoseconds(7), nanoseconds(6)}));
+    EXPECT_EQ(target.observed(), 3u);
+    EXPECT_DOUBLE_EQ(target.meanNs(), 6.0);
+    EXPECT_EQ(donor.count(), 0u);
+    EXPECT_EQ(donor.observed(), 0u);
+}
+
+TEST(LatencyRecorder, MergeAfterQueryKeepsCorrectness)
+{
+    // Both sides built their lazy sort caches before the merge; the
+    // merged percentiles must reflect every sample.
+    LatencyRecorder target;
+    target.record(nanoseconds(10));
+    EXPECT_DOUBLE_EQ(target.p99Ns(), 10.0);
+    LatencyRecorder donor;
+    donor.record(nanoseconds(1000));
+    donor.record(nanoseconds(1));
+    EXPECT_DOUBLE_EQ(donor.p99Ns(), 1000.0);
+
+    target.merge(std::move(donor));
+    EXPECT_DOUBLE_EQ(target.percentileNs(0.0), 1.0);
+    EXPECT_DOUBLE_EQ(target.percentileNs(50.0), 10.0);
+    EXPECT_DOUBLE_EQ(target.p99Ns(), 1000.0);
+    EXPECT_DOUBLE_EQ(donor.p99Ns(), 0.0);
+
+    // An emptied recorder records afresh.
+    donor.record(nanoseconds(4));
+    EXPECT_DOUBLE_EQ(donor.p99Ns(), 4.0);
 }
 
 TEST(LatencyRecorder, MaxTracksLargestSample)

@@ -16,7 +16,7 @@
  *   --parallel-domains=N  override [experiment] parallel_domains
  *   --dry-run      parse and expand only; print the matrix, run nothing
  *   --explain-faults  dry-run that also prints each point's resolved
- *                  fault timeline ([chaos] faults + legacy fail_node)
+ *                  fault timeline ([chaos] faults, then fail_node)
  *   --quiet        suppress the per-point progress table
  *   --strict-slo   exit 1 when any declared SLO is unmet
  *   --list-specs   print every registered component name across all
@@ -180,10 +180,10 @@ runOne(const std::string &path, const Options &opt)
             if (!opt.explainFaults)
                 continue;
             // Resolve against this point's shape — exactly what the
-            // run itself would inject, including the legacy fail_node
-            // shim; bad specs die here with file-independent context.
+            // run itself injects, fail_node sugar included; bad specs
+            // die here with file-independent context.
             const fault::Resolution plan = fault::resolveFaults(
-                core::effectiveFaults(pt.config),
+                pt.config.faults,
                 fault::ResolveContext{
                     pt.config.cluster.numServerNodes,
                     pt.config.system.numCores,
