@@ -272,6 +272,19 @@ writeJsonReport()
     std::printf("[json] wrote %s\n", r.path.c_str());
 }
 
+/**
+ * @p text, the value of --@p flag, once it parses as a spec whose name
+ * @p Registry has registered. Errors name the flag.
+ */
+template <typename Registry>
+std::string
+checkedSpec(const char *flag, const char *text)
+{
+    const sim::ErrorContext where(std::string("--") + flag + "=" + text);
+    (void)Registry::instance().lookup(Registry::Spec::parse(text).name);
+    return text;
+}
+
 } // namespace
 
 BenchArgs
@@ -351,13 +364,16 @@ parseArgs(int argc, char **argv)
             std::fputs(core::formatRegistryListing().c_str(), stdout);
             std::exit(0);
         } else if (const char *router = value("--router="))
-            args.router = router;
+            args.router =
+                checkedSpec<cluster::RouterRegistry>("router", router);
         else if (const char *policy = value("--policy="))
-            args.policy = policy;
+            args.policy = checkedSpec<ni::PolicyRegistry>("policy", policy);
         else if (const char *arrival = value("--arrival="))
-            args.arrival = arrival;
+            args.arrival =
+                checkedSpec<net::ArrivalRegistry>("arrival", arrival);
         else if (const char *workload = value("--workload="))
-            args.workload = workload;
+            args.workload =
+                checkedSpec<app::WorkloadRegistry>("workload", workload);
         else if (const char *mode = value("--mode="))
             args.mode = mode;
         else if (const char *json = value("--json="))
@@ -402,40 +418,22 @@ parseArgs(int argc, char **argv)
 void
 applyPolicyOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.policy.empty())
-        return;
-    cfg.system.policy = ni::PolicySpec::parse(args.policy);
-    if (!ni::PolicyRegistry::instance().contains(cfg.system.policy.name)) {
-        sim::fatal("--policy=" + args.policy +
-                   ": unknown dispatch policy (registered: " +
-                   ni::PolicyRegistry::instance().namesJoined() + ")");
-    }
+    if (!args.policy.empty())
+        cfg.system.policy = ni::PolicySpec::parse(args.policy);
 }
 
 void
 applyArrivalOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.arrival.empty())
-        return;
-    cfg.arrival = net::ArrivalSpec::parse(args.arrival);
-    if (!net::ArrivalRegistry::instance().contains(cfg.arrival.name)) {
-        sim::fatal("--arrival=" + args.arrival +
-                   ": unknown arrival process (registered: " +
-                   net::ArrivalRegistry::instance().namesJoined() + ")");
-    }
+    if (!args.arrival.empty())
+        cfg.arrival = net::ArrivalSpec::parse(args.arrival);
 }
 
 void
 applyWorkloadOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
-    if (args.workload.empty())
-        return;
-    cfg.workload = app::WorkloadSpec::parse(args.workload);
-    if (!app::WorkloadRegistry::instance().contains(cfg.workload.name)) {
-        sim::fatal("--workload=" + args.workload +
-                   ": unknown workload (registered: " +
-                   app::WorkloadRegistry::instance().namesJoined() + ")");
-    }
+    if (!args.workload.empty())
+        cfg.workload = app::WorkloadSpec::parse(args.workload);
 }
 
 void
@@ -451,16 +449,8 @@ applyClusterOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     if (args.nodes > 0)
         cfg.cluster.numServerNodes = args.nodes;
-    if (args.router.empty())
-        return;
-    cfg.cluster.router = cluster::RouterSpec::parse(args.router);
-    if (!cluster::RouterRegistry::instance().contains(
-            cfg.cluster.router.name)) {
-        sim::fatal("--router=" + args.router +
-                   ": unknown cluster router (registered: " +
-                   cluster::RouterRegistry::instance().namesJoined() +
-                   ")");
-    }
+    if (!args.router.empty())
+        cfg.cluster.router = cluster::RouterSpec::parse(args.router);
 }
 
 void
@@ -517,8 +507,6 @@ dropWorkloadAxis(BenchArgs &args)
 {
     if (args.workload.empty())
         return;
-    core::ExperimentConfig probe;
-    applyWorkloadOverride(args, probe); // typos still die
     sim::warn("--workload=" + args.workload +
               " ignored: the workload is this bench's figure axis");
     args.workload.clear();

@@ -48,7 +48,11 @@
  *                 narrows its router sweep to just this spec. With the
  *                 spec flags above, a run is fully declarative:
  *                 --mode, --policy, --arrival, --workload, --nodes,
- *                 --router.
+ *                 --router. parseArgs checks every --policy,
+ *                 --arrival, --workload and --router value against its
+ *                 registry, so a malformed or unregistered spec is
+ *                 fatal (naming the flag) even in a bench that
+ *                 ignores the flag.
  *   --parallel-domains=N  run each experiment's event domains on N
  *                 workers (conservative PDES); 0 (default) keeps the
  *                 exact sequential single-wheel path. Applied via
@@ -130,27 +134,22 @@ struct BenchArgs
     std::string json;
 };
 
-/** Parse argv + RPCVALET_BENCH_FAST; unknown flags are fatal. */
+/**
+ * Parse argv + RPCVALET_BENCH_FAST. Unknown flags are fatal, and so
+ * are malformed or unregistered --policy/--arrival/--workload/--router
+ * specs.
+ */
 BenchArgs parseArgs(int argc, char **argv);
 
-/**
- * Apply --policy to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+/** Apply --policy to @p cfg when set (parseArgs checked the spec). */
 void applyPolicyOverride(const BenchArgs &args,
                          core::ExperimentConfig &cfg);
 
-/**
- * Apply --arrival to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+/** Apply --arrival to @p cfg when set (parseArgs checked the spec). */
 void applyArrivalOverride(const BenchArgs &args,
                           core::ExperimentConfig &cfg);
 
-/**
- * Apply --workload to @p cfg when set (fatal on a malformed or
- * unregistered spec).
- */
+/** Apply --workload to @p cfg when set (parseArgs checked the spec). */
 void applyWorkloadOverride(const BenchArgs &args,
                            core::ExperimentConfig &cfg);
 
@@ -159,8 +158,8 @@ void applyModeOverride(const BenchArgs &args,
                        core::ExperimentConfig &cfg);
 
 /**
- * Apply --nodes / --router to @p cfg when set (fatal on a malformed
- * or unregistered router spec).
+ * Apply --nodes / --router to @p cfg when set (parseArgs checked the
+ * router spec).
  */
 void applyClusterOverride(const BenchArgs &args,
                           core::ExperimentConfig &cfg);
@@ -196,7 +195,10 @@ void applyOverrides(const BenchArgs &args, core::ExperimentConfig &cfg);
  */
 void dropModeAxis(BenchArgs &args);
 
-/** Same for benches whose figure axis is the workload. */
+/**
+ * Same for benches whose figure axis is the workload (parseArgs
+ * already validated --workload).
+ */
 void dropWorkloadAxis(BenchArgs &args);
 
 /** Print the standard figure banner. */

@@ -8,17 +8,13 @@
  * classes passed by reference. This subsystem completes the picture,
  * mirroring the policy and arrival architecture:
  *
- *  - WorkloadSpec      "name:key=value,..." (sim::Spec with workload
- *                      diagnostics), e.g. "masstree:scan_ratio=0.02"
- *  - WorkloadRegistry  process-wide name -> factory table; workloads
+ *  - WorkloadSpec      "name:key=value,..." (sim::AxisSpec with
+ *                      workload diagnostics), e.g.
+ *                      "masstree:scan_ratio=0.02"
+ *  - WorkloadRegistry  the axis's sim::Registry; workloads
  *                      self-register via WorkloadRegistrar, including
  *                      from outside src/ (see
- *                      examples/custom_workload_playground.cc).
- *                      Lookups are runtime-only (from main onward), as
- *                      with the other registries: a make() call during
- *                      another translation unit's static
- *                      initialization may run before the built-ins
- *                      have registered
+ *                      examples/custom_workload_playground.cc)
  *
  * Built-ins (src/app/workloads.cc):
  *   "herd" (default; §5's HERD-like KV tier), "masstree:scan_ratio="
@@ -35,76 +31,40 @@
 #ifndef RPCVALET_APP_WORKLOAD_HH
 #define RPCVALET_APP_WORKLOAD_HH
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "app/rpc_application.hh"
+#include "sim/registry.hh"
 #include "sim/spec.hh"
 
 namespace rpcvalet::app {
 
-/** A workload selection: registry name plus parameters. */
-struct WorkloadSpec : public sim::Spec
+/** The workload spec axis (see sim::AxisSpec). */
+struct WorkloadAxis
 {
+    static constexpr const char *what = "workload";
     /** Default workload: the §5 HERD-like KV tier. */
-    WorkloadSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    WorkloadSpec(const char *text);
-    WorkloadSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static WorkloadSpec parse(const std::string &text);
+    static constexpr const char *defaultName = "herd";
+    static constexpr const char *noun = "workload";
 };
+
+/** A workload selection: registry name plus parameters. */
+using WorkloadSpec = sim::AxisSpec<WorkloadAxis>;
 
 using RpcApplicationPtr = std::unique_ptr<RpcApplication>;
 
-/** Process-wide name -> factory table for workloads. */
-class WorkloadRegistry
-{
-  public:
-    /** Builds a workload instance from its (validated) spec. */
-    using Factory =
-        std::function<RpcApplicationPtr(const WorkloadSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static WorkloadRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the workload @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name; so is a
-     * factory-declared invalid parameter (each factory expectKeys()s
-     * its spec).
-     */
-    RpcApplicationPtr make(const WorkloadSpec &spec) const;
-
-  private:
-    WorkloadRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct WorkloadRegistrar
-{
-    WorkloadRegistrar(const std::string &name,
-                      WorkloadRegistry::Factory factory);
-};
+/**
+ * Process-wide name -> factory table for workloads. Factories
+ * expectKeys() their spec, so make() is fatal on an invalid parameter
+ * as well as on an unregistered name.
+ */
+using WorkloadRegistry = sim::Registry<RpcApplication, WorkloadSpec>;
+using WorkloadRegistrar = sim::Registrar<WorkloadRegistry>;
 
 } // namespace rpcvalet::app
+
+/** Defined in workloads.cc, next to the built-in registrars. */
+template <>
+rpcvalet::app::WorkloadRegistry &rpcvalet::app::WorkloadRegistry::instance();
 
 #endif // RPCVALET_APP_WORKLOAD_HH

@@ -379,10 +379,14 @@ const WorkloadRegistrar mixReg("mix", [](const WorkloadSpec &spec) {
 
 } // namespace
 
-/** Anchor: see workload.cc's linkBuiltinWorkloads declaration. */
-void
-linkBuiltinWorkloads()
-{
-}
-
 } // namespace rpcvalet::app
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::app::WorkloadRegistry &
+rpcvalet::app::WorkloadRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

@@ -9,7 +9,7 @@
  * --mode / --policy / --arrival / --workload / --router and mirroring
  * the policy/arrival/workload architecture:
  *
- *  - RouterSpec      "name:key=value,..." (sim::Spec with router
+ *  - RouterSpec      "name:key=value,..." (sim::AxisSpec with router
  *                    diagnostics), e.g. "bounded-load:c=1.25"
  *  - ClusterView     what a router may observe: per-server health and
  *                    outstanding request counts (implemented by the
@@ -19,14 +19,9 @@
  *                    client node, the view, the shard map, and a
  *                    router-private Rng stream
  *  - Router          picks a server index in [0, numServers)
- *  - RouterRegistry  process-wide name -> factory table; routers
- *                    self-register via RouterRegistrar, including from
- *                    outside src/ (see
- *                    examples/custom_router_playground.cc). Lookups
- *                    are runtime-only (from main onward), as with the
- *                    other registries: a make() call during another
- *                    translation unit's static initialization may run
- *                    before the built-ins have registered
+ *  - RouterRegistry  the axis's sim::Registry; routers self-register
+ *                    via RouterRegistrar, including from outside src/
+ *                    (see examples/custom_router_playground.cc)
  *
  * Built-ins (src/cluster/routers.cc): "direct" (always server 0; the
  * bit-identical single-node path), "random", "rr", "shard"
@@ -39,31 +34,27 @@
 #define RPCVALET_CLUSTER_ROUTER_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/topology.hh"
+#include "sim/registry.hh"
 #include "sim/rng.hh"
 #include "sim/spec.hh"
 
 namespace rpcvalet::cluster {
 
-/** A router selection: registry name plus parameters. */
-struct RouterSpec : public sim::Spec
+/** The cluster-router spec axis (see sim::AxisSpec). */
+struct RouterAxis
 {
+    static constexpr const char *what = "router";
     /** Default router: "direct" (everything to server 0). */
-    RouterSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    RouterSpec(const char *text);
-    RouterSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static RouterSpec parse(const std::string &text);
+    static constexpr const char *defaultName = "direct";
+    static constexpr const char *noun = "cluster router";
 };
+
+/** A router selection: registry name plus parameters. */
+using RouterSpec = sim::AxisSpec<RouterAxis>;
 
 /**
  * Read-only cluster state a router may consult. Server indices are
@@ -125,45 +116,14 @@ class Router
 using RouterPtr = std::unique_ptr<Router>;
 
 /** Process-wide name -> factory table for cluster routers. */
-class RouterRegistry
-{
-  public:
-    /** Builds a router instance from its (validated) spec. */
-    using Factory = std::function<RouterPtr(const RouterSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static RouterRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the router @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    RouterPtr make(const RouterSpec &spec) const;
-
-  private:
-    RouterRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct RouterRegistrar
-{
-    RouterRegistrar(const std::string &name,
-                    RouterRegistry::Factory factory);
-};
+using RouterRegistry = sim::Registry<Router, RouterSpec>;
+using RouterRegistrar = sim::Registrar<RouterRegistry>;
 
 } // namespace rpcvalet::cluster
+
+/** Defined in routers.cc, next to the built-in registrars. */
+template <>
+rpcvalet::cluster::RouterRegistry &
+rpcvalet::cluster::RouterRegistry::instance();
 
 #endif // RPCVALET_CLUSTER_ROUTER_HH

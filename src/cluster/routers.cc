@@ -267,12 +267,14 @@ const RouterRegistrar boundedLoadReg(
 
 } // namespace
 
-// Anchor odr-used by RouterRegistry::instance() so this translation
-// unit — and with it the registrars above — is linked into every
-// binary that touches the registry.
-void
-linkBuiltinRouters()
-{
-}
-
 } // namespace rpcvalet::cluster
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::cluster::RouterRegistry &
+rpcvalet::cluster::RouterRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

@@ -10,7 +10,7 @@
  * server in connection groups. This subsystem mirrors the
  * policy/arrival/workload/router/fault registry architecture:
  *
- *  - ConnSpec       "name:key=value,..." (sim::Spec with conn
+ *  - ConnSpec       "name:key=value,..." (sim::AxisSpec with conn
  *                   diagnostics), e.g. "grouped:size=40,slice=100us"
  *  - ConnScheduler  a registered connection scheduler; decides per
  *                   logical client whether it may issue a request now
@@ -18,7 +18,7 @@
  *  - ConnConfig     the experiment-level knobs: logical-client
  *                   population size, scheduler spec, QP-cache capacity
  *                   and cold-fetch penalty
- *  - ConnRegistry   process-wide name -> factory table; schedulers
+ *  - ConnRegistry   the axis's sim::Registry; schedulers
  *                   self-register via ConnRegistrar, including from
  *                   outside src/
  *
@@ -50,29 +50,26 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/domain.hh"
+#include "sim/registry.hh"
 #include "sim/spec.hh"
 
 namespace rpcvalet::conn {
 
-/** A connection-scheduler selection: registry name plus parameters. */
-struct ConnSpec : public sim::Spec
+/** The connection-scheduler spec axis (see sim::AxisSpec). */
+struct ConnAxis
 {
+    static constexpr const char *what = "conn";
     /** Default: an empty spec (scheduler chosen by ConnConfig). */
-    ConnSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    ConnSpec(const char *text);
-    ConnSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static ConnSpec parse(const std::string &text);
+    static constexpr const char *defaultName = "";
+    static constexpr const char *noun = "conn scheduler";
 };
+
+/** A connection-scheduler selection: registry name plus parameters. */
+using ConnSpec = sim::AxisSpec<ConnAxis>;
 
 /** Counters every scheduler reports into RunStats.conn. */
 struct ConnSchedStats
@@ -224,44 +221,13 @@ ConnConfig parseConnConfig(const std::string &text);
 std::uint32_t effectiveQpCapacity(const ConnConfig &cfg);
 
 /** Process-wide name -> factory table for connection schedulers. */
-class ConnRegistry
-{
-  public:
-    /** Builds a scheduler instance from its (validated) spec. */
-    using Factory = std::function<ConnSchedulerPtr(const ConnSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static ConnRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the scheduler @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    ConnSchedulerPtr make(const ConnSpec &spec) const;
-
-  private:
-    ConnRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct ConnRegistrar
-{
-    ConnRegistrar(const std::string &name, ConnRegistry::Factory factory);
-};
+using ConnRegistry = sim::Registry<ConnScheduler, ConnSpec>;
+using ConnRegistrar = sim::Registrar<ConnRegistry>;
 
 } // namespace rpcvalet::conn
+
+/** Defined in schedulers.cc, next to the built-in registrars. */
+template <>
+rpcvalet::conn::ConnRegistry &rpcvalet::conn::ConnRegistry::instance();
 
 #endif // RPCVALET_CONN_CONN_HH

@@ -394,12 +394,14 @@ const ConnRegistrar registerGrouped{"grouped", [](const ConnSpec &spec) {
 
 } // namespace
 
-void
-linkBuiltinConnSchedulers()
-{
-    // The registrars above run at static initialization; this function
-    // exists only to give the registry's instance() a symbol to pull
-    // from this archive member.
-}
-
 } // namespace rpcvalet::conn
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::conn::ConnRegistry &
+rpcvalet::conn::ConnRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

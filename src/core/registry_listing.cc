@@ -5,23 +5,32 @@
 #include "conn/conn.hh"
 #include "fault/fault.hh"
 #include "net/arrival.hh"
-#include "ni/policy_registry.hh"
+#include "ni/dispatch_policy.hh"
 
 namespace rpcvalet::core {
+
+namespace {
+
+/** @p Registry's axis: the spec label and the registered names. */
+template <typename Registry>
+RegistryAxis
+axisOf()
+{
+    return {Registry::Spec::Axis::what, Registry::instance().names()};
+}
+
+} // namespace
 
 std::vector<RegistryAxis>
 listRegistries()
 {
-    // Each instance() links its built-in registrars before first use,
-    // so the listing is complete no matter which components the
-    // caller has touched so far.
     return {
-        {"policy", ni::PolicyRegistry::instance().names()},
-        {"arrival", net::ArrivalRegistry::instance().names()},
-        {"workload", app::WorkloadRegistry::instance().names()},
-        {"router", cluster::RouterRegistry::instance().names()},
-        {"fault", fault::FaultRegistry::instance().names()},
-        {"conn", conn::ConnRegistry::instance().names()},
+        axisOf<ni::PolicyRegistry>(),
+        axisOf<net::ArrivalRegistry>(),
+        axisOf<app::WorkloadRegistry>(),
+        axisOf<cluster::RouterRegistry>(),
+        axisOf<fault::FaultRegistry>(),
+        axisOf<conn::ConnRegistry>(),
     };
 }
 

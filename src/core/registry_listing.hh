@@ -30,8 +30,8 @@ struct RegistryAxis
 
 /**
  * Every registry in canonical order: policy, arrival, workload,
- * router, fault, conn. Forces the built-in registrars of each axis
- * to be linked in before listing.
+ * router, fault, conn. Looking each one up links its built-in
+ * registrars into the binary, so every axis is listed complete.
  */
 std::vector<RegistryAxis> listRegistries();
 

@@ -6,7 +6,7 @@
  * models. This subsystem mirrors the policy/arrival/workload/router
  * registry architecture:
  *
- *  - FaultSpec       "name:key=value,..." (sim::Spec with fault
+ *  - FaultSpec       "name:key=value,..." (sim::AxisSpec with fault
  *                    diagnostics), e.g. "crash:node=3,at=50us"
  *  - Fault           a registered fault model; validates its spec
  *                    against the cluster shape and resolves into the
@@ -22,7 +22,7 @@
  *                    inside its owning domain's window and its
  *                    cross-domain effects ride the lookahead-checked
  *                    mailboxes like any other traffic
- *  - FaultRegistry   process-wide name -> factory table; fault models
+ *  - FaultRegistry   the axis's sim::Registry; fault models
  *                    self-register via FaultRegistrar, including from
  *                    outside src/
  *
@@ -46,30 +46,28 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/domain.hh"
+#include "sim/registry.hh"
 #include "sim/spec.hh"
 
 namespace rpcvalet::fault {
 
-/** A fault selection: registry name plus parameters. */
-struct FaultSpec : public sim::Spec
+/** The fault spec axis (see sim::AxisSpec). */
+struct FaultAxis
 {
+    static constexpr const char *what = "fault";
     /** Default: an empty spec (no fault); only parsed specs name one. */
-    FaultSpec();
-
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    FaultSpec(const char *text);
-    FaultSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static FaultSpec parse(const std::string &text);
+    static constexpr const char *defaultName = "";
+    static constexpr const char *noun = "fault";
 };
+
+/** A fault selection: registry name plus parameters. */
+using FaultSpec = sim::AxisSpec<FaultAxis>;
 
 /**
  * One entry of a run's resolved fault timeline. Timed activations
@@ -198,44 +196,8 @@ class Fault
 using FaultPtr = std::unique_ptr<Fault>;
 
 /** Process-wide name -> factory table for fault models. */
-class FaultRegistry
-{
-  public:
-    /** Builds a fault instance from its (validated) spec. */
-    using Factory = std::function<FaultPtr(const FaultSpec &)>;
-
-    /** The process-wide registry (created on first use). */
-    static FaultRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the fault @p spec names. An unregistered name is
-     * fatal, with the message listing every registered name.
-     */
-    FaultPtr make(const FaultSpec &spec) const;
-
-  private:
-    FaultRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct FaultRegistrar
-{
-    FaultRegistrar(const std::string &name,
-                   FaultRegistry::Factory factory);
-};
+using FaultRegistry = sim::Registry<Fault, FaultSpec>;
+using FaultRegistrar = sim::Registrar<FaultRegistry>;
 
 /**
  * Resolve a fault list into the run's static timeline: every spec is
@@ -323,5 +285,9 @@ struct RetryPolicy
 };
 
 } // namespace rpcvalet::fault
+
+/** Defined in faults.cc, next to the built-in registrars. */
+template <>
+rpcvalet::fault::FaultRegistry &rpcvalet::fault::FaultRegistry::instance();
 
 #endif // RPCVALET_FAULT_FAULT_HH

@@ -382,11 +382,14 @@ const FaultRegistrar slowReg("slow-core", [](const FaultSpec &spec) {
 
 } // namespace
 
-void
-linkBuiltinFaults()
-{
-    // The registrars above do the work; this function only anchors the
-    // archive member (see FaultRegistry::instance).
-}
-
 } // namespace rpcvalet::fault
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::fault::FaultRegistry &
+rpcvalet::fault::FaultRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

@@ -8,19 +8,17 @@
  * makes the interarrival process a first-class, string-selectable
  * component, mirroring the dispatch-policy architecture:
  *
- *  - ArrivalSpec      "name:key=value,..." (sim::Spec with arrival
- *                     diagnostics), e.g. "mmpp2:burst=0.1,ratio=10"
+ *  - ArrivalSpec      "name:key=value,..." (sim::AxisSpec with
+ *                     arrival diagnostics), e.g.
+ *                     "mmpp2:burst=0.1,ratio=10"
  *  - ArrivalProcess   samples the next interarrival gap; lifecycle
  *                     hooks observe start/halt
- *  - ArrivalRegistry  process-wide name -> factory table; processes
+ *  - ArrivalRegistry  the axis's sim::Registry; processes
  *                     self-register via ArrivalRegistrar, including
  *                     from outside src/ (see
- *                     examples/custom_arrival_playground.cc).
- *                     Lookups are runtime-only (from main onward), as
- *                     with the ni::PolicyRegistry: a make() call
- *                     during another translation unit's static
- *                     initialization may run before the built-ins
- *                     have registered
+ *                     examples/custom_arrival_playground.cc). make()
+ *                     takes the target rate after the spec and
+ *                     rejects a non-positive one
  *  - ArrivalDriver    generalizes sim::PoissonProcess: schedules one
  *                     handler call per arrival drawn from any process
  *
@@ -35,31 +33,32 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/domain.hh"
+#include "sim/registry.hh"
 #include "sim/rng.hh"
 #include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace rpcvalet::net {
 
-/** An arrival-process selection: registry name plus parameters. */
-struct ArrivalSpec : public sim::Spec
+/** The arrival-process spec axis (see sim::AxisSpec). */
+struct ArrivalAxis
 {
+    static constexpr const char *what = "arrival";
     /** Default process: the paper's fixed-rate Poisson generator. */
-    ArrivalSpec();
+    static constexpr const char *defaultName = "poisson";
+    static constexpr const char *noun = "arrival process";
 
-    /** Implicit: parse a spec string (fatal on malformed input). */
-    ArrivalSpec(const char *text);
-    ArrivalSpec(const std::string &text);
-
-    /** Parse "name" or "name:k=v,k=v" (see sim::Spec::parse). */
-    static ArrivalSpec parse(const std::string &text);
+    /** make() precondition: fatal unless @p rate_per_sec > 0. */
+    static void checkArgs(const sim::Spec &spec, double rate_per_sec);
 };
+
+/** An arrival-process selection: registry name plus parameters. */
+using ArrivalSpec = sim::AxisSpec<ArrivalAxis>;
 
 /**
  * Interface for an open-loop interarrival-time process. Instances are
@@ -92,54 +91,17 @@ class ArrivalProcess
 
 using ArrivalProcessPtr = std::unique_ptr<ArrivalProcess>;
 
-/** Process-wide name -> factory table for arrival processes. */
-class ArrivalRegistry
-{
-  public:
-    /**
-     * Builds a process from its (validated) spec, shaped to a target
-     * long-run average rate in arrivals per second. Processes may
-     * reinterpret the target: "ramp" scales it by a time-varying
-     * multiplier (holding at `to` past the ramp) and "trace:raw=1"
-     * ignores it entirely (see arrivals.cc).
-     */
-    using Factory = std::function<ArrivalProcessPtr(
-        const ArrivalSpec &, double rate_per_sec)>;
-
-    /** The process-wide registry (created on first use). */
-    static ArrivalRegistry &instance();
-
-    /** Register @p factory under @p name; duplicate names are fatal. */
-    void add(const std::string &name, Factory factory);
-
-    bool contains(const std::string &name) const;
-
-    /** Registered names, sorted. */
-    std::vector<std::string> names() const;
-
-    /** Sorted names joined with ", " (for error messages and help). */
-    std::string namesJoined() const;
-
-    /**
-     * Instantiate the process @p spec names at @p rate_per_sec. An
-     * unregistered name is fatal, with the message listing every
-     * registered name; so is a non-positive rate.
-     */
-    ArrivalProcessPtr make(const ArrivalSpec &spec,
-                           double rate_per_sec) const;
-
-  private:
-    ArrivalRegistry() = default;
-
-    std::map<std::string, Factory> factories_;
-};
-
-/** Registers a factory at static-initialization time. */
-struct ArrivalRegistrar
-{
-    ArrivalRegistrar(const std::string &name,
-                     ArrivalRegistry::Factory factory);
-};
+/**
+ * Process-wide name -> factory table for arrival processes. A factory
+ * builds a process from its (validated) spec, shaped to a target
+ * long-run average rate in arrivals per second. Processes may
+ * reinterpret the target: "ramp" scales it by a time-varying
+ * multiplier (holding at `to` past the ramp) and "trace:raw=1"
+ * ignores it entirely (see arrivals.cc).
+ */
+using ArrivalRegistry =
+    sim::Registry<ArrivalProcess, ArrivalSpec, double /*rate_per_sec*/>;
+using ArrivalRegistrar = sim::Registrar<ArrivalRegistry>;
 
 /**
  * Drives a handler with arrivals drawn from an ArrivalProcess — the
@@ -208,5 +170,9 @@ class ArrivalDriver
 };
 
 } // namespace rpcvalet::net
+
+/** Defined in arrivals.cc, next to the built-in registrars. */
+template <>
+rpcvalet::net::ArrivalRegistry &rpcvalet::net::ArrivalRegistry::instance();
 
 #endif // RPCVALET_NET_ARRIVAL_HH

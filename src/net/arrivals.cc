@@ -393,8 +393,14 @@ const ArrivalRegistrar traceReg(
 
 } // namespace
 
-// Forces this archive member (and thus the registrars above) into any
-// binary that touches the ArrivalRegistry; see arrival.cc.
-void linkBuiltinArrivals() {}
-
 } // namespace rpcvalet::net
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::net::ArrivalRegistry &
+rpcvalet::net::ArrivalRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

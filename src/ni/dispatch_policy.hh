@@ -18,10 +18,18 @@
  * assignment (JBSQ), stale-sampled load estimates, dispatch-age
  * tracking, and so on.
  *
- * Policies are instantiated by name through the PolicyRegistry from a
- * parameterized PolicySpec (e.g. "greedy", "pow2:d=3", "jbsq:d=2",
- * "stale-jsq:staleness=50ns"); see policy_registry.hh for how to
- * register a policy from any translation unit.
+ * Policies are instantiated by name through the PolicyRegistry (a
+ * sim::Registry; see sim/registry.hh for how to register a policy from
+ * any translation unit) from a PolicySpec in the sim::Spec string form:
+ *
+ *   "greedy"                           no parameters
+ *   "pow2:d=3"                         one integer parameter
+ *   "stale-jsq:staleness=50ns"         durations accept ns/us/ms
+ *   "delay-aware:alpha=0.5,init=500ns" multiple ','-separated pairs
+ *
+ * SystemParams carries a PolicySpec, so benches and configs select
+ * policies by string without recompiling any layer. Built-ins live in
+ * src/ni/policies.cc.
  */
 
 #ifndef RPCVALET_NI_DISPATCH_POLICY_HH
@@ -33,13 +41,25 @@
 #include <string>
 #include <vector>
 
-#include "ni/policy_registry.hh"
-#include "ni/policy_spec.hh"
 #include "proto/packet.hh"
+#include "sim/registry.hh"
 #include "sim/rng.hh"
+#include "sim/spec.hh"
 #include "sim/types.hh"
 
 namespace rpcvalet::ni {
+
+/** The dispatch-policy spec axis (see sim::AxisSpec). */
+struct PolicyAxis
+{
+    static constexpr const char *what = "policy";
+    /** Default policy: the paper's greedy least-loaded dispatcher. */
+    static constexpr const char *defaultName = "greedy";
+    static constexpr const char *noun = "dispatch policy";
+};
+
+/** A policy selection: registry name plus key=value parameters. */
+using PolicySpec = sim::AxisSpec<PolicyAxis>;
 
 /** Queuing topology implemented by the NI (Fig. 1 / §5). */
 enum class DispatchMode
@@ -144,6 +164,10 @@ class DispatchPolicy
     virtual std::string name() const = 0;
 };
 
+/** Process-wide name -> factory table for dispatch policies. */
+using PolicyRegistry = sim::Registry<DispatchPolicy, PolicySpec>;
+using PolicyRegistrar = sim::Registrar<PolicyRegistry>;
+
 /**
  * Instantiate the policy named by @p spec via the PolicyRegistry.
  * PolicySpec converts implicitly from a spec string, so
@@ -153,5 +177,9 @@ class DispatchPolicy
 std::unique_ptr<DispatchPolicy> makePolicy(const PolicySpec &spec);
 
 } // namespace rpcvalet::ni
+
+/** Defined in policies.cc, next to the built-in registrars. */
+template <>
+rpcvalet::ni::PolicyRegistry &rpcvalet::ni::PolicyRegistry::instance();
 
 #endif // RPCVALET_NI_DISPATCH_POLICY_HH

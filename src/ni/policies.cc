@@ -424,12 +424,14 @@ const PolicyRegistrar delayAwareReg(
 
 } // namespace
 
-// Anchor odr-used by PolicyRegistry::instance() so this translation
-// unit — and with it the registrars above — is linked into every
-// binary that touches the registry.
-void
-linkBuiltinPolicies()
-{
-}
-
 } // namespace rpcvalet::ni
+
+// Defined next to the registrars above, so any binary that looks up
+// the registry links this file and registers the built-ins.
+template <>
+rpcvalet::ni::PolicyRegistry &
+rpcvalet::ni::PolicyRegistry::instance()
+{
+    static Registry registry;
+    return registry;
+}

@@ -12,11 +12,11 @@
  *
  * Specs round-trip through toString() (keys print in sorted order) and
  * carry a `what` label ("policy", "arrival", ...) so every diagnostic
- * names the subsystem the bad spec belongs to. The dispatch-policy
- * layer (ni::PolicySpec) and the arrival-process layer
- * (net::ArrivalSpec) both derive from this one parser, so the two
- * registries accept the same spec grammar everywhere — configs, bench
- * flags, and tests.
+ * names the subsystem the bad spec belongs to. Every spec axis
+ * (ni::PolicySpec, net::ArrivalSpec, app::WorkloadSpec,
+ * cluster::RouterSpec, fault::FaultSpec, conn::ConnSpec) is an
+ * AxisSpec of this one parser, so all six registries accept the same
+ * spec grammar everywhere — configs, bench flags, and tests.
  */
 
 #ifndef RPCVALET_SIM_SPEC_HH
@@ -80,6 +80,48 @@ struct Spec
     /** Identity is (name, params); the `what` label is ignored. */
     bool operator==(const Spec &other) const;
     bool operator!=(const Spec &other) const;
+};
+
+/**
+ * A Spec bound to one component axis; each axis is a distinct type.
+ * @p AxisT is a tag naming the axis:
+ *
+ *   struct PolicyAxis
+ *   {
+ *       static constexpr const char *what = "policy";   // spec label
+ *       static constexpr const char *defaultName = "greedy";
+ *       static constexpr const char *noun = "dispatch policy";
+ *   };
+ *   using PolicySpec = sim::AxisSpec<PolicyAxis>;
+ *
+ * `defaultName` is what a default-constructed spec selects ("" for
+ * none); `noun` is what the axis's sim::Registry calls its products
+ * in diagnostics.
+ */
+template <typename AxisT>
+struct AxisSpec : public Spec
+{
+    using Axis = AxisT;
+
+    /** The axis default: Axis::defaultName, no parameters. */
+    AxisSpec()
+    {
+        what = Axis::what;
+        name = Axis::defaultName;
+    }
+
+    /** Implicit: parse a spec string (fatal on malformed input). */
+    AxisSpec(const char *text) : AxisSpec(parse(text)) {}
+    AxisSpec(const std::string &text) : AxisSpec(parse(text)) {}
+
+    /** Parse "name" or "name:k=v,k=v" (see Spec::parse). */
+    static AxisSpec
+    parse(const std::string &text)
+    {
+        AxisSpec spec;
+        static_cast<Spec &>(spec) = Spec::parse(text, Axis::what);
+        return spec;
+    }
 };
 
 } // namespace rpcvalet::sim
