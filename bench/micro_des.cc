@@ -182,6 +182,65 @@ BM_EventDescheduleChurn(benchmark::State &state)
 }
 BENCHMARK(BM_EventDescheduleChurn);
 
+/** Shared state of BM_EventQueueFarFutureChurn's timers. */
+struct FarFutureChurn
+{
+    sim::Simulator sim;
+    sim::Rng rng{1};
+    std::uint64_t fired = 0;
+    std::uint64_t stopAt = 0;
+
+    /** 5 us x 2^k for k in [0, 5], jittered by +/-20% like a backoff. */
+    sim::Tick
+    delay()
+    {
+        const double base =
+            5.0 * static_cast<double>(1u << rng.uniformInt(0, 5));
+        const double jitter = 1.0 + 0.2 * (2.0 * rng.uniform() - 1.0);
+        return sim::microseconds(base * jitter);
+    }
+};
+
+/** A timer that re-arms itself each time it fires. */
+struct ChurnTimer : sim::Event
+{
+    FarFutureChurn *churn = nullptr;
+
+    void
+    process() override
+    {
+        churn->sim.schedule(*this, churn->delay());
+        if (++churn->fired == churn->stopAt)
+            churn->sim.stop();
+    }
+};
+
+/** Far-future timer churn: a standing population of kTimers pending
+ *  timers at jittered 5-160 us delays (the retry-backoff and sweep
+ *  shape), each re-armed as it fires. Every delay lies beyond the
+ *  wheel's ~2 us horizon, so this times the overflow region: push on
+ *  re-arm, then migration into the wheel and the pop. */
+void
+BM_EventQueueFarFutureChurn(benchmark::State &state)
+{
+    constexpr int kTimers = 2048;
+    constexpr std::uint64_t kFiresPerIteration = 1024;
+
+    FarFutureChurn churn;
+    std::vector<ChurnTimer> timers(kTimers);
+    for (ChurnTimer &t : timers) {
+        t.churn = &churn;
+        churn.sim.schedule(t, churn.delay());
+    }
+    for (auto _ : state) {
+        churn.stopAt += kFiresPerIteration;
+        churn.sim.run();
+    }
+    benchmark::DoNotOptimize(churn.fired);
+    state.SetItemsProcessed(state.iterations() * kFiresPerIteration);
+}
+BENCHMARK(BM_EventQueueFarFutureChurn);
+
 void
 BM_RngUniform(benchmark::State &state)
 {

@@ -4,7 +4,8 @@
  *
  * An Event is a reusable, allocation-free unit of scheduled work: the
  * queue linkage (doubly-linked hook) and timestamp live inside the
- * object, so scheduling touches no allocator and descheduling is O(1).
+ * object, so scheduling touches no allocator and descheduling needs
+ * no search.
  * Components embed Events as members and implement process(); a fired
  * event may reschedule itself, which is how recurring activities
  * (arrival generators, pollers) run forever without per-occurrence
@@ -33,6 +34,7 @@
 #ifndef RPCVALET_SIM_EVENT_HH
 #define RPCVALET_SIM_EVENT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,12 +49,21 @@ class Simulator;
 /**
  * Intrusive doubly-linked hook. Queue lists are circular with sentinel
  * nodes, so linking and unlinking never touch a head/tail pointer.
+ * Events in the simulator's overflow heap are not list-linked; their
+ * prev hook holds their heap slot instead.
  */
 struct EventLink
 {
     EventLink *next = nullptr;
-    EventLink *prev = nullptr;
+    union
+    {
+        EventLink *prev = nullptr;
+        std::size_t heapSlot;
+    };
 };
+
+static_assert(sizeof(EventLink) == 2 * sizeof(EventLink *),
+              "the overflow heap slot must share prev's storage");
 
 /**
  * A schedulable unit of work. Derive, implement process(), embed as a

@@ -16,7 +16,6 @@ constexpr std::uint64_t kNoBucket = ~std::uint64_t{0};
 Simulator::Simulator() : buckets_(kNumBuckets)
 {
     initList(open_);
-    initList(overflow_);
 }
 
 Simulator::~Simulator()
@@ -37,7 +36,12 @@ Simulator::~Simulator()
         initList(head);
     };
     detach_all(open_);
-    detach_all(overflow_);
+    for (const OverflowEntry &entry : overflow_) {
+        entry.ev->next = nullptr;
+        entry.ev->prev = nullptr;
+        entry.ev->simWhere_ = 0;
+    }
+    overflow_.clear();
     for (std::size_t w = 0; w < kBitmapWords; ++w) {
         std::uint64_t bits = occupied_[w];
         while (bits != 0) {
@@ -65,6 +69,60 @@ Simulator::appendTo(EventLink &head, Event &ev)
     ev.next = &head;
     head.prev->next = &ev;
     head.prev = &ev;
+}
+
+void
+Simulator::siftUp(std::size_t slot, OverflowEntry entry)
+{
+    while (slot > 0) {
+        const std::size_t parent = (slot - 1) / 2;
+        if (!entry.before(overflow_[parent]))
+            break;
+        setOverflowSlot(slot, overflow_[parent]);
+        slot = parent;
+    }
+    setOverflowSlot(slot, entry);
+}
+
+void
+Simulator::siftDown(std::size_t slot, OverflowEntry entry)
+{
+    const std::size_t size = overflow_.size();
+    for (;;) {
+        std::size_t child = 2 * slot + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size &&
+            overflow_[child + 1].before(overflow_[child]))
+            ++child;
+        if (!overflow_[child].before(entry))
+            break;
+        setOverflowSlot(slot, overflow_[child]);
+        slot = child;
+    }
+    setOverflowSlot(slot, entry);
+}
+
+void
+Simulator::pushOverflow(Event &ev)
+{
+    overflow_.push_back({});
+    siftUp(overflow_.size() - 1, {ev.when_, overflowSeq_++, &ev});
+}
+
+void
+Simulator::removeOverflow(std::size_t slot)
+{
+    const OverflowEntry last = overflow_.back();
+    overflow_.pop_back();
+    if (slot == overflow_.size())
+        return;
+    // The former last entry fills the hole and moves whichever way
+    // restores the heap order.
+    if (slot > 0 && last.before(overflow_[(slot - 1) / 2]))
+        siftUp(slot, last);
+    else
+        siftDown(slot, last);
 }
 
 void
@@ -131,6 +189,8 @@ Simulator::removeFromQueue(Event &ev)
         }
         if (head == nullptr)
             occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    } else if (ev.where() == Event::Where::Overflow) {
+        removeOverflow(ev.heapSlot);
     } else {
         ev.prev->next = ev.next;
         ev.next->prev = ev.prev;
@@ -229,9 +289,8 @@ Simulator::advanceCursor()
 {
     std::uint64_t target = nextOccupiedBucket();
     if (target == kNoBucket) {
-        RV_ASSERT(!listEmpty(overflow_),
-                  "wheel advance with an empty queue");
-        target = bucketOf(static_cast<Event *>(overflow_.next)->when_);
+        RV_ASSERT(!overflow_.empty(), "wheel advance with an empty queue");
+        target = bucketOf(overflow_.front().when);
     }
     cursor_ = target;
 
@@ -239,12 +298,10 @@ Simulator::advanceCursor()
     // They sit above every in-horizon bucket (or, when the wheel was
     // empty, go straight into the freshly opened window), so the
     // target bucket stays the earliest work.
-    while (!listEmpty(overflow_)) {
-        Event *e = static_cast<Event *>(overflow_.next);
-        if (bucketOf(e->when_) >= cursor_ + kNumBuckets)
-            break;
-        e->prev->next = e->next;
-        e->next->prev = e->prev;
+    while (!overflow_.empty() &&
+           bucketOf(overflow_.front().when) < cursor_ + kNumBuckets) {
+        Event *e = overflow_.front().ev;
+        removeOverflow(0);
         place(*e);
     }
     return target;
@@ -273,8 +330,8 @@ Simulator::peekEarliest()
         }
         return best;
     }
-    RV_ASSERT(!listEmpty(overflow_), "timer wheel lost a pending event");
-    return static_cast<Event *>(overflow_.next);
+    RV_ASSERT(!overflow_.empty(), "timer wheel lost a pending event");
+    return overflow_.front().ev;
 }
 
 Event *

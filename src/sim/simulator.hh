@@ -25,13 +25,19 @@
  *    bucket it is "opened": its events are stably sorted by time once
  *    (append order breaks ties, preserving the (time, seq) FIFO
  *    contract) and then popped from the head in O(1).
- *  - Far future: events beyond the horizon wait in a sorted overflow
- *    list and migrate into buckets as the horizon advances past them.
+ *  - Far future: events beyond the horizon (timeouts, retry backoffs,
+ *    sweep timers) wait in an overflow binary min-heap keyed on
+ *    (when, seq), where seq counts overflow insertions, and migrate
+ *    into buckets as the horizon advances past them. Push, remove and
+ *    migrate are O(log n); peeking the earliest is O(1). Each event's
+ *    heap slot lives in its otherwise unused prev hook, so removal
+ *    needs no search and sizeof(Event) does not grow.
  *
  * A bitmap over buckets makes skipping empty time O(buckets/64) words,
- * and descheduling is O(1) thanks to the intrusive doubly-linked
- * hooks. Determinism is unchanged from the heap kernel and is locked
- * by tests/core/kernel_identity_test.cc.
+ * and descheduling an in-horizon event is O(1) thanks to the
+ * intrusive doubly-linked hooks. Determinism is unchanged from the
+ * heap kernel and is locked by tests/core/kernel_identity_test.cc and
+ * tests/sim/simulator_diff_test.cc.
  *
  * Threading model
  * ---------------
@@ -223,9 +229,9 @@ class Simulator
     static void appendTo(EventLink &head, Event &ev);
 
     /**
-     * Insert @p ev keeping @p head sorted by (when, insertion order).
-     * Scans from the tail: the common pattern (later schedules, later
-     * times) makes this O(1) amortized.
+     * Insert @p ev keeping the open list @p head sorted by (when,
+     * insertion order). Scans from the tail: the common pattern (later
+     * schedules, later times) makes this O(1) amortized.
      */
     static void
     insertSorted(EventLink &head, Event &ev)
@@ -246,7 +252,7 @@ class Simulator
     {
         const std::uint64_t bucket = bucketOf(ev.when_);
         if (bucket >= cursor_ + kNumBuckets) {
-            insertSorted(overflow_, ev);
+            pushOverflow(ev);
             ev.setState(this, Event::Where::Overflow);
         } else if (bucket == cursor_) {
             insertSorted(open_, ev);
@@ -264,6 +270,39 @@ class Simulator
             ev.setState(this, Event::Where::Bucket);
         }
     }
+
+    /** One overflow-heap entry; the key is copied out of the event
+     *  so sifting compares without touching event memory. */
+    struct OverflowEntry
+    {
+        Tick when;
+        std::uint64_t seq;
+        Event *ev;
+
+        bool
+        before(const OverflowEntry &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
+    };
+
+    /** Push @p ev (when-stamped) onto the overflow heap. */
+    void pushOverflow(Event &ev);
+
+    /** Remove the overflow entry at heap slot @p slot. */
+    void removeOverflow(std::size_t slot);
+
+    /** Store @p entry at heap slot @p slot and record the slot in its
+     *  event's prev hook. */
+    void
+    setOverflowSlot(std::size_t slot, const OverflowEntry &entry)
+    {
+        overflow_[slot] = entry;
+        entry.ev->heapSlot = slot;
+    }
+
+    void siftUp(std::size_t slot, OverflowEntry entry);
+    void siftDown(std::size_t slot, OverflowEntry entry);
 
     /** Shared one-shot path: pool an event around @p cb. */
     void scheduleOneShot(Tick when, Callback &&cb);
@@ -307,8 +346,10 @@ class Simulator
     std::uint64_t cursor_ = 0;
     /** The open bucket, sorted by (when, insertion). */
     EventLink open_;
-    /** Beyond-horizon events, sorted by (when, insertion). */
-    EventLink overflow_;
+    /** Beyond-horizon events: a binary min-heap on (when, seq). */
+    std::vector<OverflowEntry> overflow_;
+    /** Next overflow insertion's seq (ties break in insertion order). */
+    std::uint64_t overflowSeq_ = 0;
     /**
      * In-horizon buckets: singly-linked stacks, newest first (one
      * head pointer each, so a fresh wheel is a small memset and an

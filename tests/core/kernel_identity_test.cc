@@ -58,6 +58,36 @@ TEST(KernelIdentity, JbsqMmpp2ConfigMatchesPriorityQueueKernel)
     EXPECT_EQ(r.completions, 5500u);
 }
 
+TEST(KernelIdentity, LossyRetryConfigMatchesSortedOverflowKernel)
+{
+    // The fault path: request timeouts, jittered exponential backoff
+    // and hedges all land beyond the timer wheel's ~2 us horizon, so
+    // this is the run that exercises the overflow region. The default
+    // "direct" router sends everything to node 0, whose losses tip it
+    // into a timeout/retry cycle that keeps many backoff timers in the
+    // overflow region at once. Goldens were recorded with the
+    // sorted-list overflow the heap replaced.
+    core::ExperimentConfig cfg;
+    cfg.arrivalRps = 20e6;
+    cfg.warmupRpcs = 1000;
+    cfg.measuredRpcs = 10000;
+    cfg.cluster.numServerNodes = 4;
+    cfg.cluster.requestTimeout = sim::microseconds(30.0);
+    cfg.faults = {"packet-loss:p=0.005"};
+    cfg.retry.maxAttempts = 6;
+    cfg.retry.baseBackoff = sim::microseconds(5.0);
+    cfg.retry.multiplier = 2.0;
+    cfg.retry.jitter = 0.2;
+    cfg.retry.hedgeAfter = sim::microseconds(20.0);
+    const core::RunStats r = core::runExperiment(cfg);
+    EXPECT_EQ(r.point.p99Ns, 151136.38500000001);
+    EXPECT_EQ(r.executedEvents, 353794u);
+    EXPECT_EQ(r.completions, 11000u);
+    EXPECT_EQ(r.requestTimeouts, 10277u);
+    EXPECT_EQ(r.fault.retries, 6637u);
+    EXPECT_EQ(r.fault.hedgesSent, 4041u);
+}
+
 TEST(KernelIdentity, RepeatedRunsAreBitIdentical)
 {
     // The same config run twice in one process must not share hidden
