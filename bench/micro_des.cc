@@ -1,9 +1,9 @@
 /**
  * @file
  * Engineering microbenchmarks (google-benchmark): throughput of the
- * DES kernel, RNG samplers, data-structure substrates, and a full
- * end-to-end simulation — the numbers that determine how long the
- * figure benches take, not paper results.
+ * DES kernel, RNG samplers, data-structure substrates, the latency
+ * harvest, and a full end-to-end simulation — the numbers that
+ * determine how long the figure benches take, not paper results.
  *
  * The kernel benches compare the timer-wheel/pooled-event kernel
  * against a bench-local copy of the original kernel (one heap-
@@ -15,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -25,6 +26,7 @@
 #include "core/experiment.hh"
 #include "sim/distributions.hh"
 #include "sim/simulator.hh"
+#include "stats/latency_recorder.hh"
 
 namespace {
 
@@ -302,6 +304,32 @@ BM_SkipListScan100(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SkipListScan100);
+
+void
+BM_LatencyRecorderPercentiles(benchmark::State &state)
+{
+    // The stats harvest: a run's 200k retained samples queried at the
+    // reported points. Each iteration starts from a recorder that has
+    // never been queried, so it pays the scratch copy and every
+    // selection, as a harvest does.
+    constexpr int kSamples = 200000;
+    sim::Rng rng(1);
+    stats::LatencyRecorder recorded;
+    for (int i = 0; i < kSamples; ++i) {
+        // Latency-shaped: a 300 ns floor plus an exponential tail.
+        recorded.record(
+            sim::nanoseconds(300.0 - 500.0 * std::log(1.0 - rng.uniform())));
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        stats::LatencyRecorder rec = recorded;
+        state.ResumeTiming();
+        for (double p : {50.0, 90.0, 99.0, 99.9})
+            benchmark::DoNotOptimize(rec.percentileNs(p));
+    }
+    state.SetItemsProcessed(state.iterations() * kSamples);
+}
+BENCHMARK(BM_LatencyRecorderPercentiles)->Unit(benchmark::kMillisecond);
 
 void
 BM_EndToEndRpcSimulation(benchmark::State &state)

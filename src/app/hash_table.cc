@@ -72,23 +72,26 @@ HashTable::put(std::uint64_t key, std::vector<std::uint8_t> value)
 std::optional<std::vector<std::uint8_t>>
 HashTable::get(std::uint64_t key) const
 {
+    if (const auto *value = find(key))
+        return *value;
+    return std::nullopt;
+}
+
+const std::vector<std::uint8_t> *
+HashTable::find(std::uint64_t key) const
+{
     const Node *head = buckets_[bucketFor(key, buckets_.size())];
     for (const Node *n = head; n != nullptr; n = n->next) {
         if (n->key == key)
-            return n->value;
+            return &n->value;
     }
-    return std::nullopt;
+    return nullptr;
 }
 
 bool
 HashTable::contains(std::uint64_t key) const
 {
-    const Node *head = buckets_[bucketFor(key, buckets_.size())];
-    for (const Node *n = head; n != nullptr; n = n->next) {
-        if (n->key == key)
-            return true;
-    }
-    return false;
+    return find(key) != nullptr;
 }
 
 bool

@@ -29,6 +29,12 @@ class HashTable
     /** Lookup; nullopt if absent. */
     std::optional<std::vector<std::uint8_t>> get(std::uint64_t key) const;
 
+    /**
+     * Copy-free lookup: the stored value, or null if absent. Valid
+     * until @p key is overwritten or erased.
+     */
+    const std::vector<std::uint8_t> *find(std::uint64_t key) const;
+
     /** Remove; returns true if the key existed. */
     bool erase(std::uint64_t key);
 

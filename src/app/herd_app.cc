@@ -17,16 +17,24 @@ HerdApp::HerdApp(const Params &params)
         table_.put(k, valueForKey(k));
 }
 
+namespace {
+
+/** Byte @p i of key @p key's canonical value: (key * 131 + i) & 0xff,
+ *  so client and server can both recompute it. */
+std::uint8_t
+valueByte(std::uint64_t key, std::uint32_t i)
+{
+    return static_cast<std::uint8_t>((key * 131 + i) & 0xff);
+}
+
+} // namespace
+
 std::vector<std::uint8_t>
 HerdApp::valueForKey(std::uint64_t key) const
 {
-    // Deterministic pattern so both client and server can recompute
-    // it: byte i of key k's value is (k * 131 + i) & 0xff.
     std::vector<std::uint8_t> value(params_.valueBytes);
-    for (std::uint32_t i = 0; i < params_.valueBytes; ++i) {
-        value[i] =
-            static_cast<std::uint8_t>((key * 131 + i) & 0xff);
-    }
+    for (std::uint32_t i = 0; i < params_.valueBytes; ++i)
+        value[i] = valueByte(key, i);
     return value;
 }
 
@@ -53,36 +61,35 @@ HerdApp::handle(const std::vector<std::uint8_t> &request,
     HandleResult result;
     result.processingNs = processing_->sample(server_rng);
 
-    const auto req = decodeRequest(request);
-    RpcReply reply;
-    if (!req) {
-        reply.status = RpcStatus::Error;
-    } else {
+    // Requests are read in place and a GET's reply is encoded straight
+    // from the stored value: no intermediate copies on the hot path.
+    const auto req = peekRequest(request);
+    RpcStatus status = RpcStatus::Error;
+    if (req) {
         switch (req->op) {
-          case RpcOp::Get: {
-            auto value = table_.get(req->key);
-            if (value) {
-                reply.status = RpcStatus::Ok;
-                reply.value = std::move(*value);
-            } else {
-                reply.status = RpcStatus::NotFound;
+          case RpcOp::Get:
+            if (const auto *value = table_.find(req->key)) {
+                result.reply = encodeReply(RpcStatus::Ok, value->data(),
+                                           value->size());
+                return result;
             }
+            status = RpcStatus::NotFound;
             break;
-          }
           case RpcOp::Put:
-            table_.put(req->key, req->value);
-            reply.status = RpcStatus::Ok;
+            table_.put(req->key,
+                       std::vector<std::uint8_t>(
+                           req->value, req->value + req->valueBytes));
+            status = RpcStatus::Ok;
             break;
           case RpcOp::Del:
-            reply.status = table_.erase(req->key) ? RpcStatus::Ok
-                                                  : RpcStatus::NotFound;
+            status = table_.erase(req->key) ? RpcStatus::Ok
+                                            : RpcStatus::NotFound;
             break;
           default:
-            reply.status = RpcStatus::Error;
             break;
         }
     }
-    result.reply = encodeReply(reply);
+    result.reply = encodeReply(status, nullptr, 0);
     return result;
 }
 
@@ -90,16 +97,23 @@ bool
 HerdApp::verifyReply(const std::vector<std::uint8_t> &request,
                      const std::vector<std::uint8_t> &reply) const
 {
-    const auto req = decodeRequest(request);
-    const auto rep = decodeReply(reply);
+    const auto req = peekRequest(request);
+    const auto rep = peekReply(reply);
     if (!req || !rep)
         return false;
     switch (req->op) {
       case RpcOp::Get:
         // All GET keys are preloaded and PUTs write canonical values,
-        // so a GET must return exactly valueForKey(key).
-        return rep->status == RpcStatus::Ok &&
-               rep->value == valueForKey(req->key);
+        // so a GET must return exactly valueForKey(key), checked in
+        // place.
+        if (rep->status != RpcStatus::Ok ||
+            rep->valueBytes != params_.valueBytes)
+            return false;
+        for (std::uint32_t i = 0; i < rep->valueBytes; ++i) {
+            if (rep->value[i] != valueByte(req->key, i))
+                return false;
+        }
+        return true;
       case RpcOp::Put:
         return rep->status == RpcStatus::Ok;
       default:

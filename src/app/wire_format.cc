@@ -63,53 +63,83 @@ encodeRequest(const RpcRequest &req)
     return out;
 }
 
-std::optional<RpcRequest>
-decodeRequest(const std::vector<std::uint8_t> &bytes)
+std::optional<RequestView>
+peekRequest(const std::vector<std::uint8_t> &bytes)
 {
     if (bytes.size() < requestHeaderBytes)
         return std::nullopt;
-    RpcRequest req;
     if (bytes[0] > static_cast<std::uint8_t>(RpcOp::Echo))
         return std::nullopt;
-    req.op = static_cast<RpcOp>(bytes[0]);
-    req.classId = bytes[requestClassOffset];
-    req.key = getU64(bytes, 2);
-    req.count = getU32(bytes, 10);
-    const std::uint32_t vlen = getU32(bytes, 14);
-    if (bytes.size() < requestHeaderBytes + vlen)
+    RequestView view;
+    view.op = static_cast<RpcOp>(bytes[0]);
+    view.classId = bytes[requestClassOffset];
+    view.key = getU64(bytes, requestKeyOffset);
+    view.count = getU32(bytes, 10);
+    view.valueBytes = getU32(bytes, 14);
+    if (bytes.size() < requestHeaderBytes + view.valueBytes)
         return std::nullopt;
-    req.value.assign(bytes.begin() + requestHeaderBytes,
-                     bytes.begin() +
-                         static_cast<long>(requestHeaderBytes + vlen));
+    view.value = bytes.data() + requestHeaderBytes;
+    return view;
+}
+
+std::optional<RpcRequest>
+decodeRequest(const std::vector<std::uint8_t> &bytes)
+{
+    const auto view = peekRequest(bytes);
+    if (!view)
+        return std::nullopt;
+    RpcRequest req;
+    req.op = view->op;
+    req.classId = view->classId;
+    req.key = view->key;
+    req.count = view->count;
+    req.value.assign(view->value, view->value + view->valueBytes);
     return req;
 }
 
 std::vector<std::uint8_t>
 encodeReply(const RpcReply &reply)
 {
+    return encodeReply(reply.status, reply.value.data(),
+                       reply.value.size());
+}
+
+std::vector<std::uint8_t>
+encodeReply(RpcStatus status, const std::uint8_t *data, std::size_t n)
+{
     std::vector<std::uint8_t> out;
-    out.reserve(replyHeaderBytes + reply.value.size());
-    out.push_back(static_cast<std::uint8_t>(reply.status));
-    putU32(out, static_cast<std::uint32_t>(reply.value.size()));
-    out.insert(out.end(), reply.value.begin(), reply.value.end());
+    out.reserve(replyHeaderBytes + n);
+    out.push_back(static_cast<std::uint8_t>(status));
+    putU32(out, static_cast<std::uint32_t>(n));
+    out.insert(out.end(), data, data + n);
     return out;
+}
+
+std::optional<ReplyView>
+peekReply(const std::vector<std::uint8_t> &bytes)
+{
+    if (bytes.size() < replyHeaderBytes)
+        return std::nullopt;
+    if (bytes[0] > static_cast<std::uint8_t>(RpcStatus::Error))
+        return std::nullopt;
+    ReplyView view;
+    view.status = static_cast<RpcStatus>(bytes[0]);
+    view.valueBytes = getU32(bytes, 1);
+    if (bytes.size() < replyHeaderBytes + view.valueBytes)
+        return std::nullopt;
+    view.value = bytes.data() + replyHeaderBytes;
+    return view;
 }
 
 std::optional<RpcReply>
 decodeReply(const std::vector<std::uint8_t> &bytes)
 {
-    if (bytes.size() < replyHeaderBytes)
+    const auto view = peekReply(bytes);
+    if (!view)
         return std::nullopt;
     RpcReply reply;
-    if (bytes[0] > static_cast<std::uint8_t>(RpcStatus::Error))
-        return std::nullopt;
-    reply.status = static_cast<RpcStatus>(bytes[0]);
-    const std::uint32_t vlen = getU32(bytes, 1);
-    if (bytes.size() < replyHeaderBytes + vlen)
-        return std::nullopt;
-    reply.value.assign(bytes.begin() + replyHeaderBytes,
-                       bytes.begin() +
-                           static_cast<long>(replyHeaderBytes + vlen));
+    reply.status = view->status;
+    reply.value.assign(view->value, view->value + view->valueBytes);
     return reply;
 }
 

@@ -22,6 +22,7 @@
 #ifndef RPCVALET_APP_WIRE_FORMAT_HH
 #define RPCVALET_APP_WIRE_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -66,6 +67,28 @@ struct RpcReply
     std::vector<std::uint8_t> value;
 };
 
+/**
+ * A validated request read in place: the value bytes stay in the
+ * encoded buffer the view was taken from, which must outlive it.
+ */
+struct RequestView
+{
+    RpcOp op = RpcOp::Get;
+    std::uint8_t classId = 0;
+    std::uint64_t key = 0;
+    std::uint32_t count = 0;
+    const std::uint8_t *value = nullptr;
+    std::uint32_t valueBytes = 0;
+};
+
+/** A validated reply read in place (see RequestView). */
+struct ReplyView
+{
+    RpcStatus status = RpcStatus::Ok;
+    const std::uint8_t *value = nullptr;
+    std::uint32_t valueBytes = 0;
+};
+
 /** Fixed header sizes. */
 constexpr std::size_t requestHeaderBytes = 1 + 1 + 8 + 4 + 4;
 constexpr std::size_t replyHeaderBytes = 1 + 4;
@@ -86,12 +109,29 @@ std::uint64_t requestKeyOf(const std::vector<std::uint8_t> &request);
 /** Serialize a request. */
 std::vector<std::uint8_t> encodeRequest(const RpcRequest &req);
 
+/**
+ * Validate a request and view it without copying; nullopt on
+ * malformed input. decodeRequest is this plus a value copy, so both
+ * accept exactly the same inputs.
+ */
+std::optional<RequestView>
+peekRequest(const std::vector<std::uint8_t> &bytes);
+
 /** Parse a request; nullopt on malformed input. */
 std::optional<RpcRequest>
 decodeRequest(const std::vector<std::uint8_t> &bytes);
 
 /** Serialize a reply. */
 std::vector<std::uint8_t> encodeReply(const RpcReply &reply);
+
+/** Serialize a reply whose value is the @p n bytes at @p data. */
+std::vector<std::uint8_t> encodeReply(RpcStatus status,
+                                      const std::uint8_t *data,
+                                      std::size_t n);
+
+/** Validate a reply and view it without copying (see peekRequest). */
+std::optional<ReplyView>
+peekReply(const std::vector<std::uint8_t> &bytes);
 
 /** Parse a reply; nullopt on malformed input. */
 std::optional<RpcReply>

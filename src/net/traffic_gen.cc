@@ -348,16 +348,18 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         fabric_.send(std::move(descriptor));
         return;
     }
-    auto packets =
-        proto::packetize(proto::OpType::Send, src, dst, slot, request);
-    outstandingRequests_[key] =
+    // Store first, then packetize from the stored bytes: the request
+    // is never copied (Fabric::send only schedules, so the entry
+    // outlives the loop).
+    const Outstanding &stored = outstandingRequests_[key] =
         Outstanding{std::move(request), server,   sim_.now(), chain,
                     attempt,            is_hedge, is_hedge,   kNoKey,
                     conn};
-    for (auto &pkt : packets) {
-        pkt.hdr.connClient = conn.client;
-        fabric_.send(std::move(pkt));
-    }
+    proto::forEachPacket(proto::OpType::Send, src, dst, slot, stored.bytes,
+                         [this, &conn](proto::Packet &&pkt) {
+                             pkt.hdr.connClient = conn.client;
+                             fabric_.send(std::move(pkt));
+                         });
 }
 
 void
@@ -376,6 +378,16 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         const std::uint32_t server = pkt.hdr.src - params_.targetNode;
         const std::uint64_t key =
             reqKey(server, pkt.hdr.dst, pkt.hdr.slot);
+        if (pkt.hdr.totalBlocks == 1 && replies_.count(key) == 0) {
+            // Single-block reply with no partial assembly on its key:
+            // the packet's payload is the whole message (padded or
+            // cut to msgBytes exactly as the assembly path would).
+            std::vector<std::uint8_t> reply = std::move(pkt.payload);
+            reply.resize(pkt.hdr.msgBytes);
+            onReplyComplete(server, pkt.hdr.dst, pkt.hdr.slot,
+                            std::move(reply));
+            break;
+        }
         ReplyAssembly &assembly = replies_[key];
         if (assembly.total == 0) {
             assembly.total = pkt.hdr.totalBlocks;
@@ -425,13 +437,12 @@ TrafficGenerator::receivePacket(proto::Packet pkt)
         const std::uint32_t connClient = it->second.conn.client;
         sim_.schedule(sim::nanoseconds(60.0),
                       [this, owner, reader, slot, payload, connClient] {
-                          auto blocks = proto::packetize(
-                              proto::OpType::ReadResponse, owner,
-                              reader, slot, payload);
-                          for (auto &b : blocks) {
-                              b.hdr.connClient = connClient;
-                              fabric_.send(std::move(b));
-                          }
+                          proto::forEachPacket(
+                              proto::OpType::ReadResponse, owner, reader,
+                              slot, payload, [&](proto::Packet &&b) {
+                                  b.hdr.connClient = connClient;
+                                  fabric_.send(std::move(b));
+                              });
                       });
         break;
       }
@@ -764,6 +775,20 @@ TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
               "hedge candidate vanished mid-sweep");
     const proto::NodeId client = static_cast<proto::NodeId>(
         (primary_key / domain_.slotsPerNode) % domain_.numNodes);
+    // Route the duplicate independently — under load-aware routing it
+    // lands on a less-loaded (often different) server than the slow
+    // primary.
+    const std::uint32_t server = routeRequest(client, it->second.bytes);
+    const std::size_t pair = pairIndex(client, server);
+    if (freeSlots_[pair].empty()) {
+        // No free slot toward the hedge's target: skip rather than
+        // queue (a queued hedge would only add load where it hurts);
+        // the next sweep retries while the primary lives. Most hedge
+        // attempts end here, so the bytes are copied only below.
+        return;
+    }
+    const std::uint32_t slot = freeSlots_[pair].back();
+    freeSlots_[pair].pop_back();
     std::vector<std::uint8_t> copy = it->second.bytes;
     const std::uint64_t chain = it->second.chain;
     const std::uint32_t attempt = it->second.attempt;
@@ -771,19 +796,6 @@ TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
     // inherits the primary's connection identity (its admission was
     // already granted; hedging does not re-enter the gate).
     const ConnTag connTag = it->second.conn;
-    // Route the duplicate independently — under load-aware routing it
-    // lands on a less-loaded (often different) server than the slow
-    // primary.
-    const std::uint32_t server = routeRequest(client, copy);
-    const std::size_t pair = pairIndex(client, server);
-    if (freeSlots_[pair].empty()) {
-        // No free slot toward the hedge's target: skip rather than
-        // queue (a queued hedge would only add load where it hurts);
-        // the next sweep retries while the primary lives.
-        return;
-    }
-    const std::uint32_t slot = freeSlots_[pair].back();
-    freeSlots_[pair].pop_back();
     const std::uint64_t hedgeKey = reqKey(server, client, slot);
     // The hedge shares the primary's chain group; exactly one of the
     // pair completes it (the loser retires as a duplicate).

@@ -162,20 +162,20 @@ NiBackend::transmitMessage(proto::OpType op, proto::NodeId self,
                            proto::NodeId dst, std::uint32_t slot,
                            const std::vector<std::uint8_t> &payload)
 {
-    auto packets = proto::packetize(op, self, dst, slot, payload);
     // First packet waits for the payload fetch from the memory
     // hierarchy; subsequent blocks stream at pipeline rate.
-    sim::Tick ready = sim_.now() + params_.txSetupLatency;
-    for (auto &pkt : packets) {
-        const sim::Tick start = std::max(ready, egressFreeAt_);
-        egressFreeAt_ = start + params_.packetOccupancy;
-        ++packetsSent_;
-        InjectEvent *ev = injectPool_.acquire();
-        ev->backend = this;
-        ev->pkt = std::move(pkt);
-        ev->countOnFire = false;
-        sim_.scheduleAt(*ev, egressFreeAt_);
-    }
+    const sim::Tick ready = sim_.now() + params_.txSetupLatency;
+    proto::forEachPacket(
+        op, self, dst, slot, payload, [this, ready](proto::Packet &&pkt) {
+            const sim::Tick start = std::max(ready, egressFreeAt_);
+            egressFreeAt_ = start + params_.packetOccupancy;
+            ++packetsSent_;
+            InjectEvent *ev = injectPool_.acquire();
+            ev->backend = this;
+            ev->pkt = std::move(pkt);
+            ev->countOnFire = false;
+            sim_.scheduleAt(*ev, egressFreeAt_);
+        });
 }
 
 } // namespace rpcvalet::ni

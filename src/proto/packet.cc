@@ -1,7 +1,5 @@
 #include "proto/packet.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace rpcvalet::proto {
@@ -31,29 +29,13 @@ std::vector<Packet>
 packetize(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
           const std::vector<std::uint8_t> &payload)
 {
-    const auto msg_bytes = static_cast<std::uint32_t>(payload.size());
-    const std::uint32_t total = blocksForBytes(msg_bytes);
-
     std::vector<Packet> packets;
-    packets.reserve(total);
-    for (std::uint32_t b = 0; b < total; ++b) {
-        Packet pkt;
-        pkt.hdr.op = op;
-        pkt.hdr.src = src;
-        pkt.hdr.dst = dst;
-        pkt.hdr.slot = slot;
-        pkt.hdr.blockIndex = b;
-        pkt.hdr.totalBlocks = total;
-        pkt.hdr.msgBytes = msg_bytes;
-        const std::size_t lo = static_cast<std::size_t>(b) * cacheBlockBytes;
-        const std::size_t hi =
-            std::min<std::size_t>(lo + cacheBlockBytes, payload.size());
-        if (lo < payload.size()) {
-            pkt.payload.assign(payload.begin() + static_cast<long>(lo),
-                               payload.begin() + static_cast<long>(hi));
-        }
-        packets.push_back(std::move(pkt));
-    }
+    packets.reserve(blocksForBytes(
+        static_cast<std::uint32_t>(payload.size())));
+    forEachPacket(op, src, dst, slot, payload,
+                  [&packets](Packet &&pkt) {
+                      packets.push_back(std::move(pkt));
+                  });
     return packets;
 }
 

@@ -14,8 +14,10 @@
 #ifndef RPCVALET_PROTO_PACKET_HH
 #define RPCVALET_PROTO_PACKET_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rpcvalet::proto {
@@ -100,10 +102,40 @@ struct Packet
 std::uint32_t blocksForBytes(std::uint32_t bytes);
 
 /**
- * Unroll a message into its per-block packets, soNUMA-style. Every
- * packet carries the full header (stateless protocol); payloads are
- * the consecutive 64 B chunks of @p payload.
+ * Unroll a message into its per-block packets, soNUMA-style, handing
+ * each to @p fn (as a Packet rvalue) in block order. Every packet
+ * carries the full header (stateless protocol); payloads are the
+ * consecutive 64 B chunks of @p payload. Builds no container, so the
+ * hot send paths pay only for the packets themselves.
  */
+template <typename Fn>
+void
+forEachPacket(OpType op, NodeId src, NodeId dst, std::uint32_t slot,
+              const std::vector<std::uint8_t> &payload, Fn &&fn)
+{
+    const auto msg_bytes = static_cast<std::uint32_t>(payload.size());
+    const std::uint32_t total = blocksForBytes(msg_bytes);
+    for (std::uint32_t b = 0; b < total; ++b) {
+        Packet pkt;
+        pkt.hdr.op = op;
+        pkt.hdr.src = src;
+        pkt.hdr.dst = dst;
+        pkt.hdr.slot = slot;
+        pkt.hdr.blockIndex = b;
+        pkt.hdr.totalBlocks = total;
+        pkt.hdr.msgBytes = msg_bytes;
+        const std::size_t lo = static_cast<std::size_t>(b) * cacheBlockBytes;
+        const std::size_t hi =
+            std::min<std::size_t>(lo + cacheBlockBytes, payload.size());
+        if (lo < payload.size()) {
+            pkt.payload.assign(payload.begin() + static_cast<long>(lo),
+                               payload.begin() + static_cast<long>(hi));
+        }
+        fn(std::move(pkt));
+    }
+}
+
+/** forEachPacket collected into a vector (tests, reassemble). */
 std::vector<Packet> packetize(OpType op, NodeId src, NodeId dst,
                               std::uint32_t slot,
                               const std::vector<std::uint8_t> &payload);

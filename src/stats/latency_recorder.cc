@@ -20,7 +20,7 @@ LatencyRecorder::record(sim::Tick latency)
     if (observed_ <= warmup_)
         return;
     samples_.push_back(latency);
-    sortedValid_ = false;
+    scratchValid_ = false;
 }
 
 double
@@ -43,19 +43,20 @@ LatencyRecorder::percentileNs(double p) const
     RV_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
     if (samples_.empty())
         return 0.0;
-    if (!sortedValid_) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
-        sortedValid_ = true;
+    if (!scratchValid_) {
+        scratch_ = samples_;
+        scratchValid_ = true;
     }
-    if (p <= 0.0)
-        return sim::toNs(sorted_.front());
-    // Nearest-rank: ceil(p/100 * N), 1-based.
-    const auto n = static_cast<double>(sorted_.size());
+    // Nearest-rank: ceil(p/100 * N), 1-based; p=0 is rank 1.
+    const auto n = static_cast<double>(scratch_.size());
     auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    rank = std::min(rank, sorted_.size());
+    rank = std::min(rank, scratch_.size());
     rank = std::max<std::size_t>(rank, 1);
-    return sim::toNs(sorted_[rank - 1]);
+    // Selection, not a sort: the scratch copy stays a permutation of
+    // the samples, so each query is O(N) and later queries reuse it.
+    const auto nth = scratch_.begin() + static_cast<long>(rank - 1);
+    std::nth_element(scratch_.begin(), nth, scratch_.end());
+    return sim::toNs(*nth);
 }
 
 double
@@ -71,8 +72,8 @@ LatencyRecorder::reset()
 {
     observed_ = 0;
     samples_.clear();
-    sorted_.clear();
-    sortedValid_ = false;
+    scratch_.clear();
+    scratchValid_ = false;
 }
 
 void
@@ -85,7 +86,7 @@ LatencyRecorder::merge(LatencyRecorder &&donor)
         samples_.insert(samples_.end(), donor.samples_.begin(),
                         donor.samples_.end());
     }
-    sortedValid_ = false;
+    scratchValid_ = false;
     donor.reset();
 }
 

@@ -4,8 +4,9 @@
  *
  * The paper reports 99th-percentile latencies; with the sample counts
  * used per load point (1e5..1e6) exact selection is cheap, so the
- * recorder stores every post-warmup sample and computes percentiles by
- * nth_element rather than approximating.
+ * recorder stores every post-warmup sample and computes each
+ * percentile by std::nth_element (O(N), no full sort) on a scratch
+ * copy rather than approximating.
  */
 
 #ifndef RPCVALET_STATS_LATENCY_RECORDER_HH
@@ -71,10 +72,10 @@ class LatencyRecorder
     std::uint64_t warmup_;
     std::uint64_t observed_ = 0;
     std::vector<sim::Tick> samples_;
-    // percentileNs() sorts lazily; mutable scratch keeps the public
-    // interface const.
-    mutable std::vector<sim::Tick> sorted_;
-    mutable bool sortedValid_ = false;
+    // percentileNs() selects on a lazily taken copy of the samples;
+    // mutable scratch keeps the public interface const.
+    mutable std::vector<sim::Tick> scratch_;
+    mutable bool scratchValid_ = false;
 };
 
 } // namespace rpcvalet::stats

@@ -169,6 +169,48 @@ TEST(HerdApp, EveryGeneratedRequestVerifies)
     }
 }
 
+TEST(HerdApp, VerifyRejectsWrongGetReplies)
+{
+    // verifyReply checks a GET's reply in place: status, value length
+    // and every byte of the canonical value.
+    HerdApp app;
+    RpcRequest get;
+    get.op = RpcOp::Get;
+    get.key = 42;
+    const auto request = encodeRequest(get);
+    RpcReply good;
+    good.status = RpcStatus::Ok;
+    good.value = app.valueForKey(42);
+    ASSERT_TRUE(app.verifyReply(request, encodeReply(good)));
+
+    RpcReply wrongStatus = good;
+    wrongStatus.status = RpcStatus::NotFound;
+    EXPECT_FALSE(app.verifyReply(request, encodeReply(wrongStatus)));
+
+    RpcReply shorter = good;
+    shorter.value.pop_back();
+    EXPECT_FALSE(app.verifyReply(request, encodeReply(shorter)));
+    RpcReply longer = good;
+    longer.value.push_back(longer.value.back());
+    EXPECT_FALSE(app.verifyReply(request, encodeReply(longer)));
+
+    for (std::size_t i : {std::size_t{0}, good.value.size() / 2,
+                          good.value.size() - 1}) {
+        RpcReply flipped = good;
+        flipped.value[i] ^= 0x01;
+        EXPECT_FALSE(app.verifyReply(request, encodeReply(flipped)))
+            << "flipped byte " << i;
+    }
+
+    auto truncated = encodeReply(good);
+    truncated.pop_back(); // vlen now promises one byte too many
+    EXPECT_FALSE(app.verifyReply(request, truncated));
+    EXPECT_FALSE(app.verifyReply(request, {}));
+    auto badStatus = encodeReply(good);
+    badStatus[0] = 0xFF;
+    EXPECT_FALSE(app.verifyReply(request, badStatus));
+}
+
 TEST(HerdApp, ProcessingTimesInProfileRange)
 {
     HerdApp app;

@@ -103,6 +103,79 @@ TEST_P(CodecFuzz, TruncationAtEveryPointRejectsOrParses)
     }
 }
 
+/** peek* must accept exactly what decode* accepts, with equal fields
+ *  and value bytes. */
+void
+expectPeekMatchesDecode(const std::vector<std::uint8_t> &bytes)
+{
+    const auto req = decodeRequest(bytes);
+    const auto reqView = peekRequest(bytes);
+    ASSERT_EQ(req.has_value(), reqView.has_value());
+    if (req) {
+        EXPECT_EQ(reqView->op, req->op);
+        EXPECT_EQ(reqView->classId, req->classId);
+        EXPECT_EQ(reqView->key, req->key);
+        EXPECT_EQ(reqView->count, req->count);
+        EXPECT_EQ(std::vector<std::uint8_t>(
+                      reqView->value,
+                      reqView->value + reqView->valueBytes),
+                  req->value);
+    }
+    const auto rep = decodeReply(bytes);
+    const auto repView = peekReply(bytes);
+    ASSERT_EQ(rep.has_value(), repView.has_value());
+    if (rep) {
+        EXPECT_EQ(repView->status, rep->status);
+        EXPECT_EQ(std::vector<std::uint8_t>(
+                      repView->value,
+                      repView->value + repView->valueBytes),
+                  rep->value);
+    }
+}
+
+TEST_P(CodecFuzz, PeekAcceptsAndReadsExactlyWhatDecodeDoes)
+{
+    sim::Rng rng(GetParam() ^ 0x9EE4);
+    for (int i = 0; i < 1000; ++i) {
+        // Valid encodings of both kinds, then every truncation of them.
+        RpcRequest req;
+        req.op = static_cast<RpcOp>(rng.uniformInt(0, 4));
+        req.classId = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        req.key = rng.next();
+        req.count = static_cast<std::uint32_t>(rng.uniformInt(0, 1000));
+        req.value.resize(rng.uniformInt(0, 80));
+        for (auto &b : req.value)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        RpcReply reply;
+        reply.status = static_cast<RpcStatus>(rng.uniformInt(0, 2));
+        reply.value = req.value;
+        for (const auto &full : {encodeRequest(req), encodeReply(reply)}) {
+            for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+                expectPeekMatchesDecode(std::vector<std::uint8_t>(
+                    full.begin(), full.begin() + static_cast<long>(cut)));
+            }
+        }
+
+        // Junk: random bytes, with small length fields planted half
+        // the time so that some junk parses (and with bad op/status
+        // bytes the rest of the time).
+        std::vector<std::uint8_t> junk(rng.uniformInt(0, 64));
+        for (auto &b : junk)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        if (rng.uniform() < 0.5) {
+            if (junk.size() >= requestHeaderBytes) {
+                junk[14] = static_cast<std::uint8_t>(rng.uniformInt(0, 48));
+                junk[15] = junk[16] = junk[17] = 0;
+            }
+            if (junk.size() >= replyHeaderBytes) {
+                junk[1] = static_cast<std::uint8_t>(rng.uniformInt(0, 60));
+                junk[2] = junk[3] = junk[4] = 0;
+            }
+        }
+        expectPeekMatchesDecode(junk);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzz,
                          ::testing::Values(1u, 42u, 0xDEADBEEFu));
 

@@ -116,6 +116,38 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PacketizeSizes,
                                            128u, 500u, 512u, 1024u,
                                            2048u));
 
+TEST(ForEachPacket, EmitsExactlyThePacketsPacketizeReturns)
+{
+    for (const std::size_t n : {0, 1, 63, 64, 65, 450}) {
+        const auto payload = patternBytes(n);
+        const auto expected =
+            packetize(OpType::ReadResponse, 9, 2, 5, payload);
+        std::vector<Packet> emitted;
+        forEachPacket(OpType::ReadResponse, 9, 2, 5, payload,
+                      [&emitted](Packet &&pkt) {
+                          emitted.push_back(std::move(pkt));
+                      });
+        ASSERT_EQ(emitted.size(), expected.size()) << "bytes=" << n;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            const PacketHeader &a = emitted[i].hdr;
+            const PacketHeader &b = expected[i].hdr;
+            EXPECT_EQ(a.op, b.op);
+            EXPECT_EQ(a.src, b.src);
+            EXPECT_EQ(a.dst, b.dst);
+            EXPECT_EQ(a.slot, b.slot);
+            EXPECT_EQ(a.blockIndex, b.blockIndex);
+            EXPECT_EQ(a.totalBlocks, b.totalBlocks);
+            EXPECT_EQ(a.msgBytes, b.msgBytes);
+            EXPECT_EQ(a.rendezvous, b.rendezvous);
+            EXPECT_EQ(a.rendezvousBytes, b.rendezvousBytes);
+            EXPECT_EQ(a.connClient, b.connClient);
+            EXPECT_EQ(emitted[i].payload, expected[i].payload)
+                << "bytes=" << n << " block=" << i;
+        }
+        EXPECT_EQ(reassemble(emitted), payload) << "bytes=" << n;
+    }
+}
+
 TEST(OpName, AllOpsNamed)
 {
     EXPECT_EQ(opName(OpType::Send), "send");

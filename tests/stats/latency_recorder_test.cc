@@ -91,9 +91,47 @@ TEST(LatencyRecorder, PercentileMatchesSortedReference)
     }
 }
 
+TEST(LatencyRecorder, SelectionMatchesReferenceUnderTiesAndInterleaving)
+{
+    // Percentiles come from nth_element on a reused scratch copy that
+    // later queries start from partially ordered. Heavy ties, queries
+    // in no particular order and new samples between queries must all
+    // leave the nearest-rank answer equal to a sorted reference.
+    rpcvalet::sim::Rng rng(11);
+    LatencyRecorder rec;
+    std::vector<rpcvalet::sim::Tick> ref;
+    auto add = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            // 40 distinct values: every one is repeated ~1,250 times.
+            const auto v = nanoseconds(
+                static_cast<double>(rng.uniformInt(0, 39) * 25));
+            rec.record(v);
+            ref.push_back(v);
+        }
+    };
+    add(50000);
+    int query = 0;
+    for (double p : {99.9, 0.0, 50.0, 100.0, 90.0, 99.0}) {
+        std::vector<rpcvalet::sim::Tick> sorted = ref;
+        std::sort(sorted.begin(), sorted.end());
+        const auto rank = std::max<std::size_t>(
+            1, static_cast<std::size_t>(std::ceil(
+                   p / 100.0 * static_cast<double>(sorted.size()))));
+        EXPECT_DOUBLE_EQ(rec.percentileNs(p),
+                         rpcvalet::sim::toNs(sorted[rank - 1]))
+            << "percentile " << p;
+        // A second query of the same point reuses the scratch as is.
+        EXPECT_DOUBLE_EQ(rec.percentileNs(p),
+                         rpcvalet::sim::toNs(sorted[rank - 1]))
+            << "repeated percentile " << p;
+        if (++query % 2 == 0)
+            add(997);
+    }
+}
+
 TEST(LatencyRecorder, RecordAfterQueryKeepsCorrectness)
 {
-    // The lazy sort cache must invalidate on new samples.
+    // The lazy scratch copy must invalidate on new samples.
     LatencyRecorder rec;
     rec.record(nanoseconds(10));
     EXPECT_DOUBLE_EQ(rec.p99Ns(), 10.0);
