@@ -55,10 +55,10 @@ main(int argc, char **argv)
         cfg.warmupRpcs = args.warmup;
         cfg.measuredRpcs = args.rpcs;
         cfg.workload = workload;
-        // No applyPolicyOverride: --policy already narrowed the sweep,
-        // and applying it here would clobber the swept spec.
+        // No --policy override: it already narrowed the sweep, and
+        // applying it here would clobber the swept spec.
         bench::applyModeOverride(args, cfg);
-        bench::applyArrivalOverride(args, cfg);
+        bench::applyAxisOverrides(args, cfg, {"arrival"});
 
         cfg.arrivalRps = 0.7 * capacity;
         const auto mid = core::runExperiment(cfg);

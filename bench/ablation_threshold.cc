@@ -35,8 +35,7 @@ runWorkload(const bench::BenchArgs &args, const std::string &name,
         cfg.measuredRpcs = args.rpcs;
         cfg.workload = workload;
         bench::applyModeOverride(args, cfg);
-        bench::applyPolicyOverride(args, cfg);
-        bench::applyArrivalOverride(args, cfg);
+        bench::applyAxisOverrides(args, cfg, {"policy", "arrival"});
 
         // Capacity probe: heavy overload.
         cfg.arrivalRps = 2.5 * capacity;

@@ -32,7 +32,8 @@ main(int argc, char **argv)
 {
     using namespace rpcvalet;
     const auto args = bench::parseArgs(argc, argv);
-    const std::uint32_t nodes = args.nodes > 0 ? args.nodes : 4;
+    const std::uint32_t nodes = static_cast<std::uint32_t>(
+        args.nodes.empty() ? 4 : std::stoul(args.nodes));
     bench::printHeader(
         "Cluster scaling: router -> NI two-level balancing",
         sim::strfmt("%u HERD server nodes; every registered cluster "

@@ -1,19 +1,19 @@
 #include "common.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "app/workload.hh"
-#include "cluster/router.hh"
 #include "conn/conn.hh"
 #include "core/registry_listing.hh"
+#include "core/run_stats_fields.hh"
 #include "fault/fault.hh"
-#include "net/arrival.hh"
+#include "scenario/runner.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
+#include "stats/json.hh"
 
 namespace rpcvalet::bench {
 
@@ -69,39 +69,6 @@ report()
     return r;
 }
 
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += sim::strfmt("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** JSON number: non-finite values (empty percentiles) become null. */
-void
-jsonNumber(std::FILE *f, double v)
-{
-    if (std::isfinite(v))
-        std::fprintf(f, "%.10g", v);
-    else
-        std::fputs("null", f);
-}
-
 /**
  * Wall-clock seconds and simulator events/sec for this bench run —
  * the perf trajectory every bench reports (printed at exit, and
@@ -147,142 +114,74 @@ writeJsonReport()
         printPerfSummary();
         return;
     }
-    std::FILE *f = std::fopen(r.path.c_str(), "w");
-    if (f == nullptr) {
-        sim::warn("--json: cannot write '" + r.path + "'");
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n",
-                 jsonEscape(r.benchName).c_str());
+    stats::JsonWriter w;
+    w.beginObject();
+    w.value("bench", r.benchName);
     // Provenance stamp: which build produced these numbers (the same
     // stamp the scenario runner's summary.json carries), so archived
     // BENCH_*.json artifacts stay traceable to a commit.
-    const sim::BuildInfo &bi = sim::buildInfo();
-    std::fprintf(f,
-                 "  \"meta\": {\"build_type\": \"%s\", "
-                 "\"git_sha\": \"%s\", \"timestamp\": \"%s\"},\n",
-                 jsonEscape(bi.buildType).c_str(),
-                 jsonEscape(bi.gitSha).c_str(),
-                 jsonEscape(sim::iso8601UtcNow()).c_str());
-    std::fprintf(f,
-                 "  \"args\": {\"points\": %zu, \"rpcs\": %llu, "
-                 "\"warmup\": %llu, \"seed\": %llu, \"fast\": %s, "
-                 "\"policy\": \"%s\", \"arrival\": \"%s\", "
-                 "\"workload\": \"%s\", \"mode\": \"%s\", "
-                 "\"nodes\": %u, \"router\": \"%s\", "
-                 "\"parallel_domains\": %u, "
-                 "\"connections\": \"%s\"},\n",
-                 r.args.points,
-                 static_cast<unsigned long long>(r.args.rpcs),
-                 static_cast<unsigned long long>(r.args.warmup),
-                 static_cast<unsigned long long>(r.args.seed),
-                 r.args.fast ? "true" : "false",
-                 jsonEscape(r.args.policy).c_str(),
-                 jsonEscape(r.args.arrival).c_str(),
-                 jsonEscape(r.args.workload).c_str(),
-                 jsonEscape(r.args.mode).c_str(),
-                 r.args.nodes, jsonEscape(r.args.router).c_str(),
-                 r.args.parallelDomains,
-                 jsonEscape(r.args.connections).c_str());
-    std::fputs("  \"series\": [", f);
-    for (std::size_t i = 0; i < r.series.size(); ++i) {
-        const auto &entry = r.series[i];
-        std::fprintf(f, "%s\n    {\"label\": \"%s\", ",
-                     i == 0 ? "" : ",",
-                     jsonEscape(entry.series.label).c_str());
-        std::fputs("\"capacity_rps\": ", f);
-        jsonNumber(f, entry.capacityRps);
-        std::fputs(", \"sbar_ns\": ", f);
-        jsonNumber(f, entry.sbarNs);
-        std::fputs(", \"points\": [", f);
-        for (std::size_t p = 0; p < entry.series.points.size(); ++p) {
-            const auto &pt = entry.series.points[p];
-            std::fprintf(f, "%s\n      {\"offered_rps\": ",
-                         p == 0 ? "" : ",");
-            jsonNumber(f, pt.offeredRps);
-            std::fputs(", \"achieved_rps\": ", f);
-            jsonNumber(f, pt.achievedRps);
-            std::fputs(", \"mean_ns\": ", f);
-            jsonNumber(f, pt.meanNs);
-            std::fputs(", \"p50_ns\": ", f);
-            jsonNumber(f, pt.p50Ns);
-            std::fputs(", \"p90_ns\": ", f);
-            jsonNumber(f, pt.p90Ns);
-            std::fputs(", \"p99_ns\": ", f);
-            jsonNumber(f, pt.p99Ns);
-            std::fprintf(f, ", \"samples\": %llu}",
-                         static_cast<unsigned long long>(pt.samples));
-        }
-        std::fputs("]}", f);
+    scenario::writeMeta(w, sim::iso8601UtcNow());
+    w.beginObject("args");
+    w.value("points", r.args.points);
+    w.value("rpcs", r.args.rpcs);
+    w.value("warmup", r.args.warmup);
+    w.value("seed", r.args.seed);
+    w.value("fast", r.args.fast);
+    w.value("mode", r.args.mode);
+    scenario::writeAxes(w, r.args, /*flags_only=*/true);
+    w.value("parallel_domains", r.args.parallelDomains);
+    w.value("connections", r.args.connections);
+    w.end();
+
+    core::JsonFields fields(w);
+    w.beginArray("series");
+    for (const auto &entry : r.series) {
+        const std::vector<stats::LoadPoint> &points = entry.series.points;
+        w.beginObject();
+        w.value("label", entry.series.label);
+        w.value("capacity_rps", entry.capacityRps);
+        w.value("sbar_ns", entry.sbarNs);
+        fields.list("points", nullptr, points.size(), [&](std::size_t p) {
+            core::forEachField(fields, points[p]);
+        });
+        w.end();
     }
-    std::fputs("],\n  \"class_stats\": [", f);
-    for (std::size_t i = 0; i < r.classStats.size(); ++i) {
-        const auto &entry = r.classStats[i];
-        std::fprintf(f, "%s\n    {\"label\": \"%s\", \"classes\": [",
-                     i == 0 ? "" : ",",
-                     jsonEscape(entry.label).c_str());
-        for (std::size_t c = 0; c < entry.classes.size(); ++c) {
-            const core::ClassStats &cs = entry.classes[c];
-            std::fprintf(f, "%s\n      {\"class\": \"%s\", "
-                            "\"critical\": %s, \"slo_ns\": ",
-                         c == 0 ? "" : ",", jsonEscape(cs.name).c_str(),
-                         cs.latencyCritical ? "true" : "false");
-            jsonNumber(f, cs.sloNs);
-            std::fprintf(f, ", \"completions\": %llu",
-                         static_cast<unsigned long long>(
-                             cs.completions));
-            std::fputs(", \"achieved_rps\": ", f);
-            jsonNumber(f, cs.achievedRps);
-            std::fputs(", \"mean_ns\": ", f);
-            jsonNumber(f, cs.meanNs);
-            std::fputs(", \"p50_ns\": ", f);
-            jsonNumber(f, cs.p50Ns);
-            std::fputs(", \"p99_ns\": ", f);
-            jsonNumber(f, cs.p99Ns);
-            std::fputs(", \"p999_ns\": ", f);
-            jsonNumber(f, cs.p999Ns);
-            std::fputs(", \"slo_attainment\": ", f);
-            jsonNumber(f, cs.sloAttainment);
-            std::fputs("}", f);
-        }
-        std::fputs("]}", f);
+    w.end();
+    w.beginArray("class_stats");
+    for (const auto &entry : r.classStats) {
+        w.beginObject();
+        w.value("label", entry.label);
+        fields.list("classes", nullptr, entry.classes.size(),
+                    [&](std::size_t c) {
+                        core::forEachField(fields, entry.classes[c]);
+                    });
+        w.end();
     }
-    std::fputs("],\n  \"claims\": [", f);
-    for (std::size_t i = 0; i < r.claims.size(); ++i) {
-        const auto &c = r.claims[i];
-        std::fprintf(f, "%s\n    {\"what\": \"%s\", \"paper\": ",
-                     i == 0 ? "" : ",", jsonEscape(c.what).c_str());
-        jsonNumber(f, c.paper);
-        std::fputs(", \"measured\": ", f);
-        jsonNumber(f, c.measured);
-        std::fputs(", \"rel_tol\": ", f);
-        jsonNumber(f, c.relTol);
-        std::fprintf(f, ", \"holds\": %s}", c.holds ? "true" : "false");
+    w.end();
+    w.beginArray("claims");
+    for (const auto &c : r.claims) {
+        w.beginObject();
+        w.value("what", c.what);
+        w.value("paper", c.paper);
+        w.value("measured", c.measured);
+        w.value("rel_tol", c.relTol);
+        w.value("holds", c.holds);
+        w.end();
     }
+    w.end();
     const PerfSummary p = perfSummary();
-    std::fputs("],\n  \"perf\": {\"wall_seconds\": ", f);
-    jsonNumber(f, p.wallSeconds);
-    std::fprintf(f, ", \"sim_events\": %llu",
-                 static_cast<unsigned long long>(p.simEvents));
-    std::fputs(", \"events_per_sec\": ", f);
-    jsonNumber(f, p.eventsPerSec);
-    std::fputs("}\n}\n", f);
-    std::fclose(f);
+    w.beginObject("perf");
+    w.value("wall_seconds", p.wallSeconds);
+    w.value("sim_events", p.simEvents);
+    w.value("events_per_sec", p.eventsPerSec);
+    w.end();
+    w.end();
+    if (!w.writeFile(r.path)) {
+        sim::warn("--json: cannot write '" + r.path + "'");
+        return;
+    }
     printPerfSummary();
     std::printf("[json] wrote %s\n", r.path.c_str());
-}
-
-/**
- * @p text, the value of --@p flag, once it parses as a spec whose name
- * @p Registry has registered. Errors name the flag.
- */
-template <typename Registry>
-std::string
-checkedSpec(const char *flag, const char *text)
-{
-    const sim::ErrorContext where(std::string("--") + flag + "=" + text);
-    (void)Registry::instance().lookup(Registry::Spec::parse(text).name);
-    return text;
 }
 
 } // namespace
@@ -306,6 +205,10 @@ parseArgs(int argc, char **argv)
             return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
                                                   : nullptr;
         };
+        // A bad axis value dies here, naming the flag, even in a bench
+        // that ignores the flag.
+        if (scenario::parseAxisFlag(arg, args))
+            continue;
         if (const char *points = value("--points=")) {
             args.points = static_cast<std::size_t>(std::atoll(points));
             points_set = true;
@@ -328,17 +231,6 @@ parseArgs(int argc, char **argv)
                            ": expected an integer in [1, 1024]");
             }
             args.threads = static_cast<unsigned>(parsed);
-        } else if (const char *nodes = value("--nodes=")) {
-            // Same strictness as --threads: junk or out-of-range node
-            // counts would silently shape every cluster run.
-            char *end = nullptr;
-            const long parsed = std::strtol(nodes, &end, 10);
-            if (end == nodes || *end != '\0' || parsed <= 0 ||
-                parsed > 64) {
-                sim::fatal("--nodes=" + std::string(nodes) +
-                           ": expected an integer in [1, 64]");
-            }
-            args.nodes = static_cast<std::uint32_t>(parsed);
         } else if (const char *domains = value("--parallel-domains=")) {
             char *end = nullptr;
             const long parsed = std::strtol(domains, &end, 10);
@@ -363,18 +255,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--list-specs") {
             std::fputs(core::formatRegistryListing().c_str(), stdout);
             std::exit(0);
-        } else if (const char *router = value("--router="))
-            args.router =
-                checkedSpec<cluster::RouterRegistry>("router", router);
-        else if (const char *policy = value("--policy="))
-            args.policy = checkedSpec<ni::PolicyRegistry>("policy", policy);
-        else if (const char *arrival = value("--arrival="))
-            args.arrival =
-                checkedSpec<net::ArrivalRegistry>("arrival", arrival);
-        else if (const char *workload = value("--workload="))
-            args.workload =
-                checkedSpec<app::WorkloadRegistry>("workload", workload);
-        else if (const char *mode = value("--mode="))
+        } else if (const char *mode = value("--mode="))
             args.mode = mode;
         else if (const char *json = value("--json="))
             args.json = json;
@@ -416,24 +297,17 @@ parseArgs(int argc, char **argv)
 }
 
 void
-applyPolicyOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
+applyAxisOverrides(const BenchArgs &args, core::ExperimentConfig &cfg,
+                   std::initializer_list<std::string> only)
 {
-    if (!args.policy.empty())
-        cfg.system.policy = ni::PolicySpec::parse(args.policy);
-}
-
-void
-applyArrivalOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
-{
-    if (!args.arrival.empty())
-        cfg.arrival = net::ArrivalSpec::parse(args.arrival);
-}
-
-void
-applyWorkloadOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
-{
-    if (!args.workload.empty())
-        cfg.workload = app::WorkloadSpec::parse(args.workload);
+    for (const scenario::Axis &axis : scenario::axes()) {
+        const std::string &value = args.*axis.value;
+        const bool picked =
+            only.size() == 0 ||
+            std::find(only.begin(), only.end(), axis.key) != only.end();
+        if (picked && !value.empty())
+            axis.apply(value, cfg);
+    }
 }
 
 void
@@ -442,15 +316,6 @@ applyModeOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
     if (args.mode.empty())
         return;
     cfg.system.mode = ni::dispatchModeFromName(args.mode);
-}
-
-void
-applyClusterOverride(const BenchArgs &args, core::ExperimentConfig &cfg)
-{
-    if (args.nodes > 0)
-        cfg.cluster.numServerNodes = args.nodes;
-    if (!args.router.empty())
-        cfg.cluster.router = cluster::RouterSpec::parse(args.router);
 }
 
 void
@@ -481,10 +346,7 @@ void
 applyOverrides(const BenchArgs &args, core::ExperimentConfig &cfg)
 {
     applyModeOverride(args, cfg);
-    applyPolicyOverride(args, cfg);
-    applyArrivalOverride(args, cfg);
-    applyWorkloadOverride(args, cfg);
-    applyClusterOverride(args, cfg);
+    applyAxisOverrides(args, cfg);
     applyFaultOverride(args, cfg);
     applyConnectionsOverride(args, cfg);
     if (args.parallelDomains > 0)

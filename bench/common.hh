@@ -39,7 +39,7 @@
  *                 Benches whose figure axis is the mode (fig7a/b/c,
  *                 fig8, latency_breakdown, summary_table) ignore it.
  *   --nodes=N     server nodes behind the cluster router (fatal unless
- *                 an integer in [1, 64]); 0/absent keeps each bench's
+ *                 an integer in [1, 64]); absent keeps each bench's
  *                 default. cluster_scaling sweeps its own node counts
  *                 and uses this as the top of its sweep instead.
  *   --router=SPEC cluster-router spec (registry string such as
@@ -48,11 +48,12 @@
  *                 narrows its router sweep to just this spec. With the
  *                 spec flags above, a run is fully declarative:
  *                 --mode, --policy, --arrival, --workload, --nodes,
- *                 --router. parseArgs checks every --policy,
- *                 --arrival, --workload and --router value against its
- *                 registry, so a malformed or unregistered spec is
- *                 fatal (naming the flag) even in a bench that
- *                 ignores the flag.
+ *                 --router. These five are the axis flags of
+ *                 scenario::axes(): parseArgs validates each value the
+ *                 way a scenario file does (building the component
+ *                 through its registry), so a malformed spec is fatal
+ *                 (naming the flag) even in a bench that ignores the
+ *                 flag.
  *   --parallel-domains=N  run each experiment's event domains on N
  *                 workers (conservative PDES); 0 (default) keeps the
  *                 exact sequential single-wheel path. Applied via
@@ -90,18 +91,24 @@
 #define RPCVALET_BENCH_COMMON_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "scenario/scenario.hh"
 #include "sim/logging.hh"
 #include "stats/series.hh"
 #include "stats/slo.hh"
 
 namespace rpcvalet::bench {
 
-/** Common bench knobs. */
-struct BenchArgs
+/**
+ * Common bench knobs. The scenario::AxisValues base holds the axis
+ * flags (--workload, --policy, --arrival, --router, --nodes); an empty
+ * value keeps the bench default.
+ */
+struct BenchArgs : scenario::AxisValues
 {
     std::size_t points = 10;
     std::uint64_t rpcs = 100000;
@@ -109,18 +116,8 @@ struct BenchArgs
     std::uint64_t seed = 42;
     unsigned threads = 2;
     bool fast = false;
-    /** Dispatch-policy spec override; empty = bench default. */
-    std::string policy;
-    /** Arrival-process spec override; empty = bench default. */
-    std::string arrival;
-    /** Workload spec override; empty = bench default. */
-    std::string workload;
     /** Dispatch-mode override ("1x16", ...); empty = bench default. */
     std::string mode;
-    /** Server-node-count override; 0 = bench default. */
-    std::uint32_t nodes = 0;
-    /** Cluster-router spec override; empty = bench default. */
-    std::string router;
     /** Domain workers per experiment (conservative PDES); 0 = the
      *  sequential single-wheel path. Fatal unless in [0, 1024]. */
     unsigned parallelDomains = 0;
@@ -141,28 +138,16 @@ struct BenchArgs
  */
 BenchArgs parseArgs(int argc, char **argv);
 
-/** Apply --policy to @p cfg when set (parseArgs checked the spec). */
-void applyPolicyOverride(const BenchArgs &args,
-                         core::ExperimentConfig &cfg);
-
-/** Apply --arrival to @p cfg when set (parseArgs checked the spec). */
-void applyArrivalOverride(const BenchArgs &args,
-                          core::ExperimentConfig &cfg);
-
-/** Apply --workload to @p cfg when set (parseArgs checked the spec). */
-void applyWorkloadOverride(const BenchArgs &args,
-                           core::ExperimentConfig &cfg);
+/**
+ * Apply every axis flag that is set to @p cfg, or just the axes named
+ * in @p only (parseArgs validated the values).
+ */
+void applyAxisOverrides(const BenchArgs &args, core::ExperimentConfig &cfg,
+                        std::initializer_list<std::string> only = {});
 
 /** Apply --mode to @p cfg when set (fatal on an unknown mode name). */
 void applyModeOverride(const BenchArgs &args,
                        core::ExperimentConfig &cfg);
-
-/**
- * Apply --nodes / --router to @p cfg when set (parseArgs checked the
- * router spec).
- */
-void applyClusterOverride(const BenchArgs &args,
-                          core::ExperimentConfig &cfg);
 
 /**
  * Append every --fault spec to @p cfg.faults (fatal on an unknown

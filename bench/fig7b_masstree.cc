@@ -115,8 +115,7 @@ main(int argc, char **argv)
         cfg.warmupRpcs = args.warmup;
         cfg.measuredRpcs = args.rpcs;
         cfg.arrivalRps = load * mix_capacity;
-        bench::applyPolicyOverride(args, cfg);
-        bench::applyArrivalOverride(args, cfg);
+        bench::applyAxisOverrides(args, cfg, {"policy", "arrival"});
         const core::RunStats r = core::runExperiment(cfg);
         bench::printClassStats(
             sim::strfmt("%s @ %.0f%% load", mix.toString().c_str(),

@@ -26,8 +26,10 @@
  * Built-ins (src/cluster/routers.cc): "direct" (always server 0; the
  * bit-identical single-node path), "random", "rr", "shard"
  * (shard-affinity from the request key), and "bounded-load:c=,vnodes="
- * (consistent hashing with bounded loads). All built-ins skip nodes
- * the HealthTracker marks down and fail over to an up peer.
+ * (consistent hashing with bounded loads). Every built-in except
+ * "direct" skips nodes the HealthTracker marks down and fails over to
+ * an up peer; "direct" ignores health and keeps sending to server 0,
+ * so a multi-node cluster behind it has no failover.
  */
 
 #ifndef RPCVALET_CLUSTER_ROUTER_HH

@@ -2,12 +2,13 @@
  * @file
  * Built-in cluster routers.
  *
- * Every built-in is health-aware: servers the HealthTracker marks down
- * are skipped and traffic fails over to an up peer (the automatic-
- * failover behavior of the rpc-load-balancer exemplar). When *no*
- * server is up the routers still return a deterministic index — the
- * traffic generator's timeout path then recycles those requests until
- * a node recovers.
+ * Every built-in except "direct" is health-aware: servers the
+ * HealthTracker marks down are skipped and traffic fails over to an up
+ * peer (the automatic-failover behavior of the rpc-load-balancer
+ * exemplar). When *no* server is up those routers still return a
+ * deterministic index — the traffic generator's timeout path then
+ * recycles those requests until a node recovers. "direct" ignores
+ * health: it always returns server 0, down or not.
  */
 
 #include <algorithm>
@@ -40,7 +41,8 @@ nextUp(const ClusterView &view, std::uint32_t start)
 
 /** Always server 0 — the single-node configuration. Makes no Rng
  *  draws, so the numServers=1 path stays bit-identical to the
- *  pre-cluster experiment core. */
+ *  pre-cluster experiment core. Not health-aware: server 0 keeps
+ *  receiving everything while it is marked down. */
 class DirectRouter : public Router
 {
   public:

@@ -66,8 +66,7 @@ checkTimedStart(const FaultSpec &spec, sim::Tick at,
 
 /** crash:node=,at=[,recover_after=] — the node drops every packet
  *  (requests already queued inside it are lost) until recover_after
- *  elapses, or forever when none is given. The scenario keys
- *  fail_node / fail_at are sugar for one of these. */
+ *  elapses, or forever when none is given. */
 class CrashFault : public Fault
 {
   public:

@@ -10,12 +10,16 @@
  * writeScenarioOutputs() renders the results under the scenario's
  * output directory:
  *
- *   point_NNN.json   one file per matrix point: axis values, headline
- *                    load point, per-class and per-node breakdowns
+ *   point_NNN.json   one file per matrix point: axis values, every
+ *                    RunStats field, SLO verdicts
  *   summary.json     the whole run: build/git/timestamp provenance
  *                    stamp, every point's key numbers, SLO verdicts
  *   metrics.prom     Prometheus text exposition across all points
  *                    (stats::MetricsExporter), labeled by axis values
+ *
+ * The RunStats parts of point_NNN.json and metrics.prom are rendered
+ * from the one field description in core/run_stats_fields.hh, which
+ * lists every key and metric family.
  *
  * The provenance stamp (build type, git SHA, ISO-8601 UTC timestamp)
  * comes from sim/build_info.hh, so every artifact names the exact
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "scenario/scenario.hh"
+#include "stats/json.hh"
 
 namespace rpcvalet::scenario {
 
@@ -74,6 +79,18 @@ ScenarioResult runScenario(const Scenario &scn);
  * if needed. Returns the paths written. Fatal on I/O failure.
  */
 std::vector<std::string> writeScenarioOutputs(const ScenarioResult &result);
+
+/**
+ * Write one JSON member per axis (see axes()) from @p values: numeric
+ * axes as numbers, the rest as strings; with @p flags_only, only the
+ * axes a bench flag sets.
+ */
+void writeAxes(stats::JsonWriter &w, const AxisValues &values,
+               bool flags_only = false);
+
+/** Write the "meta" provenance object (build type, git SHA, and
+ *  @p timestamp) every JSON artifact carries. */
+void writeMeta(stats::JsonWriter &w, const std::string &timestamp);
 
 } // namespace rpcvalet::scenario
 

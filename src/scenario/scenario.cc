@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -74,15 +75,6 @@ parseUint(const std::string &value)
     return static_cast<std::uint64_t>(parsed);
 }
 
-std::int64_t
-parseInt(const std::string &value)
-{
-    const double parsed = parseDouble(value);
-    if (parsed != std::floor(parsed) || std::abs(parsed) >= 0x1p62)
-        sim::fatal("'" + value + "' is not an integer");
-    return static_cast<std::int64_t>(parsed);
-}
-
 bool
 parseBool(const std::string &value)
 {
@@ -123,41 +115,13 @@ parseTick(const std::string &value)
     return sim::nanoseconds(ns);
 }
 
-// Registry-backed validation: each helper instantiates the component
-// so a bad spec dies at parse time, inside the caller's ErrorContext
-// (which carries file:line and the offending key=value).
-
+/** Instantiate @p Registry's component for @p text, so a bad spec
+ *  dies inside the caller's ErrorContext. */
+template <typename Registry>
 void
-validateWorkload(const std::string &spec)
+makeSpec(const std::string &text)
 {
-    (void)app::WorkloadRegistry::instance().make(
-        app::WorkloadSpec(spec));
-}
-
-void
-validatePolicy(const std::string &spec)
-{
-    (void)ni::makePolicy(ni::PolicySpec(spec));
-}
-
-void
-validateArrival(const std::string &spec)
-{
-    (void)net::ArrivalRegistry::instance().make(net::ArrivalSpec(spec),
-                                                /*rate_rps=*/1e6);
-}
-
-void
-validateRouter(const std::string &spec)
-{
-    (void)cluster::RouterRegistry::instance().make(
-        cluster::RouterSpec(spec));
-}
-
-void
-validateConnScheduler(const std::string &spec)
-{
-    (void)conn::ConnRegistry::instance().make(conn::ConnSpec(spec));
+    (void)Registry::instance().make(typename Registry::Spec(text));
 }
 
 /** File stem ("out/herd.scn" -> "herd") for the default name. */
@@ -219,6 +183,24 @@ class Parser
         sim::ErrorContext ctx(sim::strfmt("%s:%d (%s = %s)",
                                           source_.c_str(), line_,
                                           key.c_str(), value.c_str()));
+        if (section_ == "connections")
+            connSectionSeen_ = true;
+        for (const Axis &axis : axes()) {
+            if (key != axis.key)
+                continue;
+            if (section_ == "sweep") {
+                for (const std::string &item : splitList(value)) {
+                    axis.validate(item);
+                    (out_.*axis.sweep).push_back(item);
+                }
+                return;
+            }
+            if (section_ == axis.section) {
+                axis.validate(value);
+                axis.apply(value, out_.base);
+                return;
+            }
+        }
         if (section_ == "experiment")
             experimentKey(key, value);
         else if (section_ == "cluster")
@@ -238,13 +220,6 @@ class Parser
     void
     finish()
     {
-        // fail_node / fail_at are sugar for a crash fault with no
-        // recovery, declared after every [chaos] fault.
-        if (failNode_ >= 0) {
-            out_.base.faults.emplace_back(sim::strfmt(
-                "crash:node=%lld,at=%.3fns",
-                static_cast<long long>(failNode_), sim::toNs(failAt_)));
-        }
         const bool has_load = !out_.loadFractions.empty();
         const bool has_rps = !out_.absoluteRps.empty();
         if (has_load && has_rps) {
@@ -291,20 +266,31 @@ class Parser
                         msg.c_str()));
     }
 
+    /** Die on an unknown key; @p expected lists the section's keys
+     *  other than its axes'. */
+    [[noreturn]] void
+    unknownKey(const std::string &key,
+               std::vector<std::string> expected) const
+    {
+        for (const Axis &axis : axes()) {
+            if (section_ == axis.section || section_ == "sweep")
+                expected.push_back(axis.key);
+        }
+        std::string list;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            if (i > 0)
+                list += i + 1 == expected.size() ? ", or " : ", ";
+            list += expected[i];
+        }
+        die("unknown [" + section_ + "] key '" + key + "' (expected " +
+            list + ")");
+    }
+
     void
     experimentKey(const std::string &key, const std::string &value)
     {
         if (key == "name") {
             out_.name = value;
-        } else if (key == "workload") {
-            validateWorkload(value);
-            out_.base.workload = app::WorkloadSpec(value);
-        } else if (key == "arrival") {
-            validateArrival(value);
-            out_.base.arrival = net::ArrivalSpec(value);
-        } else if (key == "policy") {
-            validatePolicy(value);
-            out_.base.system.policy = ni::PolicySpec(value);
         } else if (key == "mode") {
             out_.base.system.mode = ni::dispatchModeFromName(value);
         } else if (key == "warmup") {
@@ -324,26 +310,15 @@ class Parser
                 die("'parallel_domains' must be at most 1024");
             out_.base.parallelDomains = static_cast<unsigned>(n);
         } else {
-            die("unknown [experiment] key '" + key +
-                "' (expected name, workload, arrival, policy, mode, "
-                "warmup, measured, seed, turnaround, or "
-                "parallel_domains)");
+            unknownKey(key, {"name", "mode", "warmup", "measured", "seed",
+                             "turnaround", "parallel_domains"});
         }
     }
 
     void
     clusterKey(const std::string &key, const std::string &value)
     {
-        if (key == "nodes") {
-            const std::uint64_t n = parseUint(value);
-            if (n < 1 || n > 64)
-                sim::fatal("'nodes' must be in [1, 64]");
-            out_.base.cluster.numServerNodes =
-                static_cast<std::uint32_t>(n);
-        } else if (key == "router") {
-            validateRouter(value);
-            out_.base.cluster.router = cluster::RouterSpec(value);
-        } else if (key == "shards") {
+        if (key == "shards") {
             out_.base.cluster.shards =
                 static_cast<std::uint32_t>(parseUint(value));
         } else if (key == "timeout") {
@@ -356,14 +331,6 @@ class Parser
                 static_cast<std::uint32_t>(n);
         } else if (key == "recovery_after") {
             out_.base.cluster.recoveryAfter = parseTick(value);
-        } else if (key == "fail_node") {
-            const std::int64_t n = parseInt(value);
-            if (n < -1)
-                sim::fatal("'fail_node' must be -1 (none) or a server "
-                           "index");
-            failNode_ = n;
-        } else if (key == "fail_at") {
-            failAt_ = parseTick(value);
         } else if (key == "sweep_interval") {
             const sim::Tick t = parseTick(value);
             if (t == 0)
@@ -371,17 +338,14 @@ class Parser
                            "to derive it from the timeout)");
             out_.base.cluster.sweepInterval = t;
         } else {
-            die("unknown [cluster] key '" + key +
-                "' (expected nodes, router, shards, timeout, "
-                "fail_threshold, recovery_after, fail_node, fail_at, "
-                "or sweep_interval)");
+            unknownKey(key, {"shards", "timeout", "fail_threshold",
+                             "recovery_after", "sweep_interval"});
         }
     }
 
     void
     connectionsKey(const std::string &key, const std::string &value)
     {
-        connSectionSeen_ = true;
         if (key == "nodes") {
             // Messaging-domain size: emulated endpoints the logical
             // clients are multiplexed onto, NOT the server count.
@@ -396,9 +360,6 @@ class Parser
                 sim::fatal("'clients' must be in [1, 2^24]");
             out_.base.connections.numClients =
                 static_cast<std::uint32_t>(n);
-        } else if (key == "scheduler") {
-            validateConnScheduler(value);
-            out_.base.connections.scheduler = conn::ConnSpec(value);
         } else if (key == "qp_capacity") {
             out_.base.connections.qpCapacity =
                 static_cast<std::uint32_t>(parseUint(value));
@@ -406,9 +367,7 @@ class Parser
             out_.base.connections.qpColdNs =
                 sim::toNs(parseTick(value));
         } else {
-            die("unknown [connections] key '" + key +
-                "' (expected nodes, clients, scheduler, qp_capacity, "
-                "or qp_cold)");
+            unknownKey(key, {"nodes", "clients", "qp_capacity", "qp_cold"});
         }
     }
 
@@ -442,9 +401,9 @@ class Parser
         } else if (key == "hedge_after") {
             out_.base.retry.hedgeAfter = parseTick(value);
         } else {
-            die("unknown [chaos] key '" + key +
-                "' (expected fault, retry_max_attempts, retry_backoff, "
-                "retry_multiplier, retry_jitter, or hedge_after)");
+            unknownKey(key, {"fault", "retry_max_attempts", "retry_backoff",
+                             "retry_multiplier", "retry_jitter",
+                             "hedge_after"});
         }
     }
 
@@ -466,49 +425,13 @@ class Parser
                     sim::fatal("rps '" + item + "' must be positive");
                 out_.absoluteRps.push_back(r);
             }
-        } else if (key == "workload") {
-            for (const std::string &item : splitList(value)) {
-                validateWorkload(item);
-                out_.workloads.push_back(item);
-            }
-        } else if (key == "policy") {
-            for (const std::string &item : splitList(value)) {
-                validatePolicy(item);
-                out_.policies.push_back(item);
-            }
-        } else if (key == "arrival") {
-            for (const std::string &item : splitList(value)) {
-                validateArrival(item);
-                out_.arrivals.push_back(item);
-            }
-        } else if (key == "router") {
-            for (const std::string &item : splitList(value)) {
-                validateRouter(item);
-                out_.routers.push_back(item);
-            }
-        } else if (key == "scheduler") {
-            for (const std::string &item : splitList(value)) {
-                validateConnScheduler(item);
-                out_.schedulers.push_back(item);
-            }
-        } else if (key == "nodes") {
-            for (const std::string &item : splitList(value)) {
-                const std::uint64_t n = parseUint(item);
-                if (n < 1 || n > 64)
-                    sim::fatal("node count '" + item +
-                               "' must be in [1, 64]");
-                out_.nodeCounts.push_back(
-                    static_cast<std::uint32_t>(n));
-            }
         } else if (key == "threads") {
             const std::uint64_t n = parseUint(value);
             if (n < 1 || n > 1024)
                 sim::fatal("'threads' must be in [1, 1024]");
             out_.threads = static_cast<unsigned>(n);
         } else {
-            die("unknown [sweep] key '" + key +
-                "' (expected load, rps, workload, policy, arrival, "
-                "router, scheduler, nodes, or threads)");
+            unknownKey(key, {"load", "rps", "threads"});
         }
     }
 
@@ -522,8 +445,7 @@ class Parser
         else if (key == "prometheus")
             out_.writePrometheus = parseBool(value);
         else
-            die("unknown [output] key '" + key +
-                "' (expected dir, json, or prometheus)");
+            unknownKey(key, {"dir", "json", "prometheus"});
     }
 
     std::string source_;
@@ -531,9 +453,6 @@ class Parser
     std::string section_;
     int line_ = 0;
     bool connSectionSeen_ = false;
-    /** [cluster] fail_node (-1 = none) and fail_at. */
-    std::int64_t failNode_ = -1;
-    sim::Tick failAt_ = 0;
 };
 
 Scenario
@@ -572,96 +491,144 @@ parseScenarioText(const std::string &text, const std::string &source)
     return parseLines(in, source, source);
 }
 
+const std::vector<Axis> &
+axes()
+{
+    using Config = core::ExperimentConfig;
+    static const std::vector<Axis> table{
+        {"workload", "experiment", &Scenario::workloads, &AxisValues::workload,
+         false, false, true, &makeSpec<app::WorkloadRegistry>,
+         [](const std::string &text, Config &cfg) {
+             cfg.workload = app::WorkloadSpec(text);
+         },
+         [](const Config &cfg) { return cfg.workload.toString(); }},
+        {"policy", "experiment", &Scenario::policies, &AxisValues::policy,
+         false, false, true, &makeSpec<ni::PolicyRegistry>,
+         [](const std::string &text, Config &cfg) {
+             cfg.system.policy = ni::PolicySpec(text);
+         },
+         [](const Config &cfg) { return cfg.system.policy.toString(); }},
+        {"arrival", "experiment", &Scenario::arrivals, &AxisValues::arrival,
+         false, false, true,
+         [](const std::string &text) {
+             (void)net::ArrivalRegistry::instance().make(
+                 net::ArrivalSpec(text), /*rate_rps=*/1e6);
+         },
+         [](const std::string &text, Config &cfg) {
+             cfg.arrival = net::ArrivalSpec(text);
+         },
+         [](const Config &cfg) { return cfg.arrival.toString(); }},
+        {"router", "cluster", &Scenario::routers, &AxisValues::router,
+         false, false, true, &makeSpec<cluster::RouterRegistry>,
+         [](const std::string &text, Config &cfg) {
+             cfg.cluster.router = cluster::RouterSpec(text);
+         },
+         [](const Config &cfg) { return cfg.cluster.router.toString(); }},
+        {"scheduler", "connections", &Scenario::schedulers,
+         &AxisValues::scheduler, false, true, false,
+         &makeSpec<conn::ConnRegistry>,
+         [](const std::string &text, Config &cfg) {
+             cfg.connections.scheduler = conn::ConnSpec(text);
+         },
+         [](const Config &cfg) {
+             return cfg.connections.active()
+                        ? cfg.connections.schedulerSpec().toString()
+                        : std::string();
+         }},
+        {"nodes", "cluster", &Scenario::nodeCounts, &AxisValues::nodes,
+         true, false, true,
+         [](const std::string &text) {
+             const std::uint64_t n = parseUint(text);
+             if (n < 1 || n > 64)
+                 sim::fatal("node count '" + text + "' must be in [1, 64]");
+             if (text != std::to_string(n))
+                 sim::fatal("node count '" + text + "' is not a plain "
+                            "integer");
+         },
+         [](const std::string &text, Config &cfg) {
+             cfg.cluster.numServerNodes =
+                 static_cast<std::uint32_t>(parseUint(text));
+         },
+         [](const Config &cfg) {
+             return std::to_string(cfg.cluster.numServerNodes);
+         }},
+    };
+    return table;
+}
+
+bool
+parseAxisFlag(const std::string &arg, AxisValues &values)
+{
+    for (const Axis &axis : axes()) {
+        const std::string prefix = std::string("--") + axis.key + "=";
+        if (!axis.benchFlag || arg.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        const sim::ErrorContext where(arg);
+        const std::string text = arg.substr(prefix.size());
+        axis.validate(text);
+        values.*axis.value = text;
+        return true;
+    }
+    return false;
+}
+
 std::vector<ScenarioPoint>
 expandMatrix(const Scenario &scn)
 {
-    // Empty axes fall back to the base value, marked by an empty
-    // string (or 0 node count) so the point's config keeps the base
-    // field untouched — the single-point bit-identity guarantee.
-    const std::vector<std::string> one_default{std::string()};
-    const auto &ws = scn.workloads.empty() ? one_default : scn.workloads;
-    const auto &ps = scn.policies.empty() ? one_default : scn.policies;
-    const auto &as = scn.arrivals.empty() ? one_default : scn.arrivals;
-    const auto &rs = scn.routers.empty() ? one_default : scn.routers;
-    const auto &ss =
-        scn.schedulers.empty() ? one_default : scn.schedulers;
-    const std::vector<std::uint32_t> node_default{0};
-    const auto &ns =
-        scn.nodeCounts.empty() ? node_default : scn.nodeCounts;
+    // An axis without a [sweep] list keeps the base value, marked by
+    // an empty string so the point's config leaves the base field
+    // untouched: the single-point bit-identity guarantee.
+    const std::vector<Axis> &all = axes();
+    std::vector<std::vector<std::string>> lists;
+    for (const Axis &axis : all) {
+        const std::vector<std::string> &sweep = scn.*axis.sweep;
+        lists.push_back(sweep.empty() ? std::vector<std::string>{""}
+                                      : sweep);
+    }
     const bool fractional = !scn.loadFractions.empty();
     const auto &loads =
         fractional ? scn.loadFractions : scn.absoluteRps;
 
+    // Capacity depends only on the base system and the workload.
+    std::map<std::string, double> capacities;
     std::vector<ScenarioPoint> points;
-    points.reserve(ws.size() * ps.size() * as.size() * rs.size() *
-                   ss.size() * ns.size() * loads.size());
-    for (const std::string &w : ws) {
-        // Capacity depends only on system + workload; resolve once
-        // per workload axis value.
-        const app::WorkloadSpec wspec =
-            w.empty() ? scn.base.workload : app::WorkloadSpec(w);
-        const double capacity =
-            fractional
-                ? core::estimateCapacityRps(scn.base.system, wspec)
-                : 0.0;
-        for (const std::string &p : ps) {
-            for (const std::string &a : as) {
-                for (const std::string &r : rs) {
-                    for (const std::string &s : ss) {
-                        for (const std::uint32_t n : ns) {
-                            for (const double l : loads) {
-                                ScenarioPoint pt;
-                                pt.index = points.size();
-                                pt.config = scn.base;
-                                if (!w.empty())
-                                    pt.config.workload =
-                                        app::WorkloadSpec(w);
-                                if (!p.empty())
-                                    pt.config.system.policy =
-                                        ni::PolicySpec(p);
-                                if (!a.empty())
-                                    pt.config.arrival =
-                                        net::ArrivalSpec(a);
-                                if (!r.empty())
-                                    pt.config.cluster.router =
-                                        cluster::RouterSpec(r);
-                                if (!s.empty())
-                                    pt.config.connections.scheduler =
-                                        conn::ConnSpec(s);
-                                if (n != 0)
-                                    pt.config.cluster.numServerNodes =
-                                        n;
-                                const std::uint32_t eff_nodes =
-                                    pt.config.cluster.numServerNodes;
-                                pt.config.arrivalRps =
-                                    fractional
-                                        ? l * capacity * eff_nodes
-                                        : l;
-                                pt.workload =
-                                    pt.config.workload.toString();
-                                pt.policy =
-                                    pt.config.system.policy.toString();
-                                pt.arrival =
-                                    pt.config.arrival.toString();
-                                pt.router = pt.config.cluster.router
-                                                .toString();
-                                pt.scheduler =
-                                    pt.config.connections.active()
-                                        ? pt.config.connections
-                                              .schedulerSpec()
-                                              .toString()
-                                        : std::string();
-                                pt.nodes = eff_nodes;
-                                pt.loadFraction = fractional ? l : 0.0;
-                                points.push_back(std::move(pt));
-                            }
-                        }
-                    }
-                }
-            }
+    std::vector<std::size_t> digit(all.size(), 0);
+    for (;;) {
+        core::ExperimentConfig cfg = scn.base;
+        for (std::size_t a = 0; a < all.size(); ++a) {
+            const std::string &value = lists[a][digit[a]];
+            if (!value.empty())
+                all[a].apply(value, cfg);
         }
+        double capacity = 0.0;
+        if (fractional) {
+            const auto [it, fresh] =
+                capacities.try_emplace(cfg.workload.toString(), 0.0);
+            if (fresh) {
+                it->second = core::estimateCapacityRps(scn.base.system,
+                                                       cfg.workload);
+            }
+            capacity = it->second;
+        }
+        for (const double l : loads) {
+            ScenarioPoint pt;
+            pt.index = points.size();
+            pt.config = cfg;
+            pt.config.arrivalRps =
+                fractional ? l * capacity * cfg.cluster.numServerNodes
+                           : l;
+            pt.loadFraction = fractional ? l : 0.0;
+            for (const Axis &axis : all)
+                pt.*axis.value = axis.canonical(pt.config);
+            points.push_back(std::move(pt));
+        }
+        // Odometer step: the last axis turns fastest (load innermost).
+        std::size_t a = all.size();
+        while (a > 0 && ++digit[a - 1] == lists[a - 1].size())
+            digit[--a] = 0;
+        if (a == 0)
+            return points;
     }
-    return points;
 }
 
 } // namespace rpcvalet::scenario

@@ -91,7 +91,8 @@ struct Scenario
      *  corresponding fields per matrix point. */
     core::ExperimentConfig base{};
 
-    /** Sweep axes; an empty axis means "use the base value". */
+    /** [sweep] lists of the axes (see axes()); an empty list means
+     *  "use the base value". */
     std::vector<std::string> workloads;
     std::vector<std::string> policies;
     std::vector<std::string> arrivals;
@@ -99,7 +100,7 @@ struct Scenario
     /** Connection-scheduler axis ("all" | "grouped:..."); requires an
      *  active [connections] client population. */
     std::vector<std::string> schedulers;
-    std::vector<std::uint32_t> nodeCounts;
+    std::vector<std::string> nodeCounts;
 
     /** Load axis: fractions of estimated capacity (exclusive with
      *  absoluteRps; exactly one of the two is non-empty). */
@@ -121,23 +122,69 @@ struct Scenario
     bool writePrometheus = true;
 };
 
-/** One expanded matrix point: a runnable config plus its axis tags. */
-struct ScenarioPoint
+/** One value per axis (see axes()) as a string; "" = not set (bench
+ *  flags) or off (the scheduler without a client population). */
+struct AxisValues
 {
-    /** Position in canonical matrix order (stable across runs). */
-    std::size_t index = 0;
-    core::ExperimentConfig config{};
-    /** Axis values this point was expanded from (canonical specs). */
     std::string workload;
     std::string policy;
     std::string arrival;
     std::string router;
-    /** Connection-scheduler spec ("" when the subsystem is off). */
     std::string scheduler;
-    std::uint32_t nodes = 1;
+    std::string nodes;
+};
+
+/** One expanded matrix point: a runnable config plus its axis values
+ *  (canonical specs). */
+struct ScenarioPoint : AxisValues
+{
+    /** Position in canonical matrix order (stable across runs). */
+    std::size_t index = 0;
+    core::ExperimentConfig config{};
     /** Load fraction behind config.arrivalRps (0 = absolute rps). */
     double loadFraction = 0.0;
 };
+
+/**
+ * One matrix axis. Its key is the scenario base key (in `section`),
+ * the [sweep] key, the bench flag --key=, the point-JSON key and the
+ * Prometheus label.
+ */
+struct Axis
+{
+    const char *key;
+    /** Scenario section holding the base key. */
+    const char *section;
+    /** The [sweep] list. */
+    std::vector<std::string> Scenario::*sweep;
+    /** The axis's slot in a point's (or the bench's) values. */
+    std::string AxisValues::*value;
+    /** Values are integers: JSON numbers, an unset one 0. */
+    bool numeric;
+    /** Off unless configured; its Prometheus label follows every
+     *  always-on axis's, so runs without it keep their sample keys. */
+    bool optional;
+    /** Settable by a bench --key= flag (the scheduler is set through
+     *  --connections= instead, together with its population). */
+    bool benchFlag;
+    /** fatal() unless @p text is a valid value; registry axes build
+     *  the component, so bad parameters die too. */
+    void (*validate)(const std::string &text);
+    /** Set a validated value on @p cfg. */
+    void (*apply)(const std::string &text, core::ExperimentConfig &cfg);
+    /** @p cfg's canonical value ("" when the axis is off). */
+    std::string (*canonical)(const core::ExperimentConfig &cfg);
+};
+
+/** Every axis, in canonical matrix order. */
+const std::vector<Axis> &axes();
+
+/**
+ * If @p arg is an axis flag ("--policy=jbsq:d=2"), validate its value
+ * (fatal, naming the flag, when it is bad), store it in @p values and
+ * return true; return false for any other argument.
+ */
+bool parseAxisFlag(const std::string &arg, AxisValues &values);
 
 /** Parse a scenario file; every diagnostic carries file:line. */
 Scenario parseScenarioFile(const std::string &path);

@@ -99,8 +99,6 @@ TEST(ScenarioParse, ChaosSectionPopulatesFaultsAndRetry)
         "nodes   = 4\n"
         "timeout = 30us\n"
         "sweep_interval = 5us\n"
-        "fail_node = 2\n"
-        "fail_at = 50us\n"
         "[chaos]\n"
         "fault = crash:node=3,at=100us,recover_after=300us\n"
         "fault = packet-loss:p=0.005\n"
@@ -112,14 +110,11 @@ TEST(ScenarioParse, ChaosSectionPopulatesFaultsAndRetry)
         "[sweep]\n"
         "load = 0.5\n",
         "chaos.scn");
-    ASSERT_EQ(scn.base.faults.size(), 3u);
+    ASSERT_EQ(scn.base.faults.size(), 2u);
     // toString() canonicalizes: params print in sorted key order.
     EXPECT_EQ(scn.base.faults[0].toString(),
               "crash:at=100us,node=3,recover_after=300us");
     EXPECT_EQ(scn.base.faults[1].name, "packet-loss");
-    // fail_node / fail_at declare a crash after every [chaos] fault.
-    EXPECT_EQ(scn.base.faults[2].toString(),
-              "crash:at=50000.000ns,node=2");
     EXPECT_EQ(scn.base.retry.maxAttempts, 6u);
     EXPECT_EQ(scn.base.retry.baseBackoff, sim::microseconds(5.0));
     EXPECT_DOUBLE_EQ(scn.base.retry.multiplier, 2.0);

@@ -16,7 +16,7 @@
  *   --parallel-domains=N  override [experiment] parallel_domains
  *   --dry-run      parse and expand only; print the matrix, run nothing
  *   --explain-faults  dry-run that also prints each point's resolved
- *                  fault timeline ([chaos] faults, then fail_node)
+ *                  fault timeline (its [chaos] faults)
  *   --quiet        suppress the per-point progress table
  *   --strict-slo   exit 1 when any declared SLO is unmet
  *   --list-specs   print every registered component name across all
@@ -137,10 +137,10 @@ printPoint(const scenario::PointResult &res)
 {
     const scenario::ScenarioPoint &pt = res.point;
     const core::RunStats &st = res.stats;
-    std::printf("  [%3zu] %-28s %-14s n=%-2u %9.0f rps  "
+    std::printf("  [%3zu] %-28s %-14s n=%-2s %9.0f rps  "
                 "p99 %8.0f ns",
                 pt.index, pt.workload.c_str(), pt.policy.c_str(),
-                pt.nodes, st.point.offeredRps, st.point.p99Ns);
+                pt.nodes.c_str(), st.point.offeredRps, st.point.p99Ns);
     for (const scenario::SloOutcome &so : res.slos) {
         std::printf("  %s:%s", so.className.c_str(),
                     so.met ? "ok" : "MISS");
@@ -171,17 +171,18 @@ runOne(const std::string &path, const Options &opt)
     }
     if (opt.dryRun) {
         for (const scenario::ScenarioPoint &pt : matrix) {
-            std::printf("  [%3zu] workload=%s policy=%s arrival=%s "
-                        "router=%s nodes=%u rps=%.0f\n",
-                        pt.index, pt.workload.c_str(),
-                        pt.policy.c_str(), pt.arrival.c_str(),
-                        pt.router.c_str(), pt.nodes,
-                        pt.config.arrivalRps);
+            std::printf("  [%3zu]", pt.index);
+            for (const scenario::Axis &axis : scenario::axes()) {
+                const std::string &value = pt.*axis.value;
+                if (!value.empty())
+                    std::printf(" %s=%s", axis.key, value.c_str());
+            }
+            std::printf(" rps=%.0f\n", pt.config.arrivalRps);
             if (!opt.explainFaults)
                 continue;
             // Resolve against this point's shape — exactly what the
-            // run itself injects, fail_node sugar included; bad specs
-            // die here with file-independent context.
+            // run itself injects; bad specs die here with
+            // file-independent context.
             const fault::Resolution plan = fault::resolveFaults(
                 pt.config.faults,
                 fault::ResolveContext{
