@@ -88,6 +88,40 @@ TEST(KernelIdentity, LossyRetryConfigMatchesSortedOverflowKernel)
     EXPECT_EQ(r.fault.hedgesSent, 4041u);
 }
 
+TEST(KernelIdentity, ConnLossyRetryConfig)
+{
+    // Conn-tagged requests under loss: timed-out requests resubmit
+    // through the admission gate, hedges inherit their primary's
+    // client, and connOnRetired fires on expiry and on a hedge loss.
+    // Goldens were recorded before the generator's request lifecycle
+    // was folded into one retire and one resubmit path.
+    core::ExperimentConfig cfg;
+    cfg.warmupRpcs = 2000;
+    cfg.measuredRpcs = 20000;
+    cfg.cluster.numServerNodes = 2;
+    cfg.cluster.router = "bounded-load:c=1.25";
+    cfg.cluster.requestTimeout = sim::microseconds(30.0);
+    cfg.connections = conn::parseConnConfig(
+        "grouped:clients=512,size=40,slice=20us,qp_capacity=64");
+    cfg.faults = {"packet-loss:p=0.02"};
+    cfg.retry.maxAttempts = 6;
+    cfg.retry.baseBackoff = sim::microseconds(5.0);
+    cfg.retry.multiplier = 2.0;
+    cfg.retry.jitter = 0.2;
+    cfg.retry.hedgeAfter = sim::microseconds(20.0);
+    cfg.arrivalRps = 0.5 *
+                     core::estimateCapacityRps(cfg.system, cfg.workload) *
+                     cfg.cluster.numServerNodes;
+    const core::RunStats r = core::runExperiment(cfg);
+    EXPECT_EQ(r.executedEvents, 1483570u);
+    EXPECT_EQ(r.completions, 22000u);
+    EXPECT_EQ(r.requestTimeouts, 282u);
+    EXPECT_EQ(r.fault.retries, 58u);
+    EXPECT_EQ(r.fault.hedgesSent, 1457u);
+    EXPECT_EQ(r.conn.deferredTotal, 48855u);
+    EXPECT_EQ(r.conn.groupSwitches, 29u);
+}
+
 TEST(KernelIdentity, RepeatedRunsAreBitIdentical)
 {
     // The same config run twice in one process must not share hidden
