@@ -42,8 +42,6 @@ TrafficGenerator::TrafficGenerator(sim::EventDomain &sim,
               "a cluster router needs a shard map");
     params_.retry.validate(params_.requestTimeout);
     arrivals_.setBatchWindow(params_.arrivalBatchWindow);
-    madeByClass_.resize(std::max<std::size_t>(
-        app.requestClasses().size(), 1));
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
         if (n >= params_.targetNode &&
             n < params_.targetNode + params_.numServers)
@@ -101,27 +99,20 @@ TrafficGenerator::isUp(std::uint32_t server) const
 void
 TrafficGenerator::onArrival()
 {
+    // Requests larger than maxMsgBytes are legal: they take the
+    // rendezvous path (§4.2) in launchRequest.
     if (connSched_ != nullptr) {
         // Client-population model: the arrival belongs to a uniformly
         // random logical client, whose scheduler decides whether it
         // may issue now or waits for its group's slice.
         const std::uint32_t client = static_cast<std::uint32_t>(
             connRng_.uniformInt(0, params_.connections.numClients - 1));
-        std::vector<std::uint8_t> request = app_.makeRequest(clientRng_);
-        countRequestClass(request);
-        connSubmit(client, std::move(request), /*chain=*/0,
-                   /*attempt=*/1);
+        connSubmit(Request{app_.makeRequest(clientRng_), /*chain=*/0,
+                           ConnTag{client}});
         return;
     }
-
     const proto::NodeId src = pickClientNode();
-
-    // Requests larger than maxMsgBytes are legal: they take the
-    // rendezvous path (§4.2) in launchRequest.
-    std::vector<std::uint8_t> request = app_.makeRequest(clientRng_);
-    countRequestClass(request);
-
-    dispatchRequest(src, std::move(request), /*chain=*/0);
+    dispatchRequest(src, Request{app_.makeRequest(clientRng_)});
 }
 
 proto::NodeId
@@ -140,25 +131,23 @@ TrafficGenerator::connNodeFor(std::uint32_t client) const
 }
 
 void
-TrafficGenerator::connSubmit(std::uint32_t client,
-                             std::vector<std::uint8_t> request,
-                             std::uint64_t chain, std::uint32_t attempt)
+TrafficGenerator::connSubmit(Request req)
 {
+    const std::uint32_t client = req.conn.client;
     const std::uint32_t group = connSched_->groupOf(client);
-    if (connSched_->mayIssue(client)) {
+    req.conn.genAt = sim_.now();
+    req.conn.deferred = !connSched_->mayIssue(client);
+    if (!req.conn.deferred) {
         ++connAdmittedImmediate_;
         if (group < connPerGroupAdmitted_.size())
             ++connPerGroupAdmitted_[group];
-        dispatchRequest(connNodeFor(client), std::move(request), chain,
-                        attempt,
-                        ConnTag{client, sim_.now(), /*deferred=*/false});
+        dispatchRequest(connNodeFor(client), std::move(req));
         return;
     }
     ++connDeferredTotal_;
     if (group < connPerGroupDeferred_.size())
         ++connPerGroupDeferred_[group];
-    connQueue_[client].push_back(
-        ConnDeferred{std::move(request), chain, attempt, sim_.now()});
+    connQueue_[client].push_back(std::move(req));
 }
 
 std::uint32_t
@@ -167,16 +156,14 @@ TrafficGenerator::connFlush(std::uint32_t client, std::uint32_t limit)
     auto &queue = connQueue_[client];
     std::uint32_t released = 0;
     while (!queue.empty() && (limit == 0 || released < limit)) {
-        ConnDeferred next = std::move(queue.front());
+        Request next = std::move(queue.front());
         queue.pop_front();
-        connDeferredWait_ += sim_.now() - next.genAt;
-        ++connFlushed_;
-        ++released;
         // The tag keeps the generation time: the client-observed
         // latency of a deferred request includes its admission wait.
-        dispatchRequest(connNodeFor(client), std::move(next.bytes),
-                        next.chain, next.attempt,
-                        ConnTag{client, next.genAt, /*deferred=*/true});
+        connDeferredWait_ += sim_.now() - next.conn.genAt;
+        ++connFlushed_;
+        ++released;
+        dispatchRequest(connNodeFor(client), std::move(next));
     }
     return released;
 }
@@ -219,20 +206,6 @@ TrafficGenerator::pickClientNode()
 }
 
 void
-TrafficGenerator::countRequestClass(
-    const std::vector<std::uint8_t> &request)
-{
-    // Per-class generation counter, read off the wire's class byte
-    // (clamped like the server side clamps stray ids).
-    const std::size_t cls =
-        request.size() > app::requestClassOffset
-            ? std::min<std::size_t>(request[app::requestClassOffset],
-                                    madeByClass_.size() - 1)
-            : 0;
-    ++madeByClass_[cls];
-}
-
-void
 TrafficGenerator::issueNested(
     std::vector<std::vector<std::uint8_t>> requests,
     std::function<void()> done)
@@ -251,8 +224,7 @@ TrafficGenerator::issueNested(
         // this is latency-equivalent to issuing from the serving node
         // and reuses the per-(source, server) flow-control slots.
         const proto::NodeId src = pickClientNode();
-        countRequestClass(request);
-        dispatchRequest(src, std::move(request), chain);
+        dispatchRequest(src, Request{std::move(request), chain});
     }
 }
 
@@ -277,37 +249,28 @@ TrafficGenerator::routeRequest(proto::NodeId src,
 }
 
 void
-TrafficGenerator::dispatchRequest(proto::NodeId src,
-                                  std::vector<std::uint8_t> request,
-                                  std::uint64_t chain,
-                                  std::uint32_t attempt, ConnTag conn)
+TrafficGenerator::dispatchRequest(proto::NodeId src, Request req)
 {
-    const std::uint32_t server = routeRequest(src, request);
+    const std::uint32_t server = routeRequest(src, req.bytes);
     const std::size_t pair = pairIndex(src, server);
     if (freeSlots_[pair].empty()) {
         // End-to-end flow control: all S slots toward that server are
         // in flight; the request waits for a replenish (§4.2).
         ++deferrals_;
-        pending_[pair].push_back(
-            PendingRequest{std::move(request), chain, attempt, conn});
+        pending_[pair].push_back(std::move(req));
         return;
     }
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
-    launchRequest(src, server, slot, std::move(request), chain, attempt,
-                  /*is_hedge=*/false, conn);
+    launchRequest(src, server, slot, std::move(req));
 }
 
 void
 TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
-                                std::uint32_t slot,
-                                std::vector<std::uint8_t> request,
-                                std::uint64_t chain,
-                                std::uint32_t attempt, bool is_hedge,
-                                ConnTag conn)
+                                std::uint32_t slot, Request req,
+                                std::uint64_t sibling)
 {
     ++requestsSent_;
-    ++inFlight_;
     ++perServerInFlight_[server];
     // Canary accounting: a recovering server's first routed request is
     // its probe (no-op for healthy servers).
@@ -315,16 +278,23 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         health_->noteRouted(server);
     const proto::NodeId dst = params_.targetNode + server;
     const std::uint64_t key = reqKey(server, src, slot);
-    RV_ASSERT(outstandingRequests_.find(key) ==
-                  outstandingRequests_.end(),
-              "slot reused while its request is still outstanding");
     // A slot freed while its previous use sat in expectedDuplicates_
     // means that duplicate's reply was lost; it can never arrive, so
     // the stale marker must not misclassify this use's late replies.
     expectedDuplicates_.erase(key);
-    if (connSched_ != nullptr && conn.client != proto::noConnClient)
-        connSched_->onLaunched(conn.client);
-    if (request.size() > domain_.maxMsgBytes) {
+    if (connSched_ != nullptr && req.conn.client != proto::noConnClient)
+        connSched_->onLaunched(req.conn.client);
+    // A hedge is born hedged, so it is never hedged again. Store
+    // first, then send from the stored bytes: the request is never
+    // copied (Fabric::send only schedules, so the entry outlives it).
+    const bool is_hedge = sibling != kNoKey;
+    const auto [it, fresh] = outstandingRequests_.try_emplace(
+        key, Outstanding{std::move(req), server, sim_.now(), sibling,
+                         is_hedge, is_hedge});
+    RV_ASSERT(fresh, "slot reused while its request is still outstanding");
+    const Outstanding &stored = it->second;
+    const std::uint32_t conn_client = stored.conn.client;
+    if (stored.bytes.size() > domain_.maxMsgBytes) {
         // Rendezvous (§4.2): announce the payload with a one-block
         // descriptor; the destination NI pulls it with a one-sided
         // read from this node's registered memory (the outstanding-
@@ -339,25 +309,14 @@ TrafficGenerator::launchRequest(proto::NodeId src, std::uint32_t server,
         descriptor.hdr.msgBytes = 0;
         descriptor.hdr.rendezvous = true;
         descriptor.hdr.rendezvousBytes =
-            static_cast<std::uint32_t>(request.size());
-        descriptor.hdr.connClient = conn.client;
-        outstandingRequests_[key] =
-            Outstanding{std::move(request), server,   sim_.now(), chain,
-                        attempt,            is_hedge, is_hedge,   kNoKey,
-                        conn};
+            static_cast<std::uint32_t>(stored.bytes.size());
+        descriptor.hdr.connClient = conn_client;
         fabric_.send(std::move(descriptor));
         return;
     }
-    // Store first, then packetize from the stored bytes: the request
-    // is never copied (Fabric::send only schedules, so the entry
-    // outlives the loop).
-    const Outstanding &stored = outstandingRequests_[key] =
-        Outstanding{std::move(request), server,   sim_.now(), chain,
-                    attempt,            is_hedge, is_hedge,   kNoKey,
-                    conn};
     proto::forEachPacket(proto::OpType::Send, src, dst, slot, stored.bytes,
-                         [this, &conn](proto::Packet &&pkt) {
-                             pkt.hdr.connClient = conn.client;
+                         [this, conn_client](proto::Packet &&pkt) {
+                             pkt.hdr.connClient = conn_client;
                              fabric_.send(std::move(pkt));
                          });
 }
@@ -479,47 +438,29 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
             ++staleReplies_;
         }
     } else {
-        if (!app_.verifyReply(it->second.bytes, reply))
+        // The completion's own conn signal comes last, below.
+        const Outstanding done = retire(it, /*signal_conn=*/false);
+        if (!app_.verifyReply(done.bytes, reply))
             ++verifyFailures_;
-        const std::uint64_t chain = it->second.chain;
-        const std::uint64_t sibling = it->second.sibling;
-        const bool wonAsHedge = it->second.isHedge;
-        const ConnTag connTag = it->second.conn;
-        const std::uint32_t connReqBytes =
-            static_cast<std::uint32_t>(it->second.bytes.size());
-        outstandingRequests_.erase(it);
         ++repliesReceived_;
-        RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-        --inFlight_;
-        RV_ASSERT(perServerInFlight_[server] > 0,
-                  "per-server in-flight underflow");
-        --perServerInFlight_[server];
         if (health_ != nullptr)
             health_->reportSuccess(server);
-        if (sibling != kNoKey) {
+        if (done.sibling != kNoKey) {
             // First reply wins: retire the losing half now so its
             // late reply cannot double-complete the request. Its slot
             // credit still returns through the duplicate-reply path
             // above (the loser's reply carries the replenish).
-            auto sit = outstandingRequests_.find(sibling);
+            auto sit = outstandingRequests_.find(done.sibling);
             RV_ASSERT(sit != outstandingRequests_.end(),
                       "hedge sibling vanished before resolution");
-            const std::uint32_t loserServer = sit->second.server;
-            const ConnTag loserTag = sit->second.conn;
-            outstandingRequests_.erase(sit);
-            connOnRetired(loserTag);
-            replies_.erase(sibling);
-            RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-            --inFlight_;
-            RV_ASSERT(perServerInFlight_[loserServer] > 0,
-                      "per-server in-flight underflow");
-            --perServerInFlight_[loserServer];
-            expectedDuplicates_.insert(sibling);
-            if (wonAsHedge)
+            retire(sit, /*signal_conn=*/true);
+            replies_.erase(done.sibling);
+            expectedDuplicates_.insert(done.sibling);
+            if (done.isHedge)
                 ++hedgesWon_;
             // A credit parked on the loser (its reply was dropped)
             // comes back now that the loser is retired.
-            releaseHeldCredit(sibling);
+            releaseHeldCredit(done.sibling);
         }
         // Likewise a credit parked on this request itself.
         releaseHeldCredit(key);
@@ -527,15 +468,16 @@ TrafficGenerator::onReplyComplete(std::uint32_t server,
         // drained group's switch can admit deferred requests, which
         // re-enter this generator like the chain completion below —
         // everything above is already settled.
-        connOnCompleted(connTag, connReqBytes);
-        connOnRetired(connTag);
+        connOnCompleted(done.conn,
+                        static_cast<std::uint32_t>(done.bytes.size()));
+        connOnRetired(done.conn);
         // Last among the accounting: the chain-group completion may
         // re-enter this generator (a resumed parent's own reply
         // path), so everything above must already be settled. The
         // replenish below is scheduled either way, so ordering with
         // it is immaterial.
-        if (chain != 0)
-            onChainMemberDone(chain);
+        if (done.chain != 0)
+            onChainMemberDone(done.chain);
     }
     // Return the reply's send-slot credit to the serving node after
     // the client-side turnaround (stale replies included, see above).
@@ -597,15 +539,13 @@ TrafficGenerator::recycleSlot(proto::NodeId client, std::uint32_t server,
                               std::uint32_t slot)
 {
     const std::size_t pair = pairIndex(client, server);
-    if (!pending_[pair].empty()) {
-        PendingRequest next = std::move(pending_[pair].front());
-        pending_[pair].pop_front();
-        launchRequest(client, server, slot, std::move(next.bytes),
-                      next.chain, next.attempt, /*is_hedge=*/false,
-                      next.conn);
-    } else {
+    if (pending_[pair].empty()) {
         freeSlots_[pair].push_back(slot);
+        return;
     }
+    Request next = std::move(pending_[pair].front());
+    pending_[pair].pop_front();
+    launchRequest(client, server, slot, std::move(next));
 }
 
 void
@@ -613,14 +553,21 @@ TrafficGenerator::releaseHeldCredit(std::uint64_t key)
 {
     if (heldCredits_.erase(key) == 0)
         return;
-    const auto slot = static_cast<std::uint32_t>(
-        key % domain_.slotsPerNode);
-    const auto client = static_cast<proto::NodeId>(
-        (key / domain_.slotsPerNode) % domain_.numNodes);
-    const auto server = static_cast<std::uint32_t>(
-        key / (static_cast<std::uint64_t>(domain_.slotsPerNode) *
-               domain_.numNodes));
+    const auto [server, client, slot] = splitKey(key);
     recycleSlot(client, server, slot);
+}
+
+TrafficGenerator::Outstanding
+TrafficGenerator::retire(OutstandingMap::iterator it, bool signal_conn)
+{
+    Outstanding rec = std::move(it->second);
+    outstandingRequests_.erase(it);
+    if (signal_conn)
+        connOnRetired(rec.conn);
+    RV_ASSERT(perServerInFlight_[rec.server] > 0,
+              "per-server in-flight underflow");
+    --perServerInFlight_[rec.server];
+    return rec;
 }
 
 void
@@ -629,58 +576,38 @@ TrafficGenerator::sweepTimeouts()
     if (halted_)
         return;
 
+    // One walk collects both candidate sets, which are disjoint by
+    // age: hedge [hedgeAfter, timeout), expire [timeout, inf). Act
+    // only after the walk, since hedges and retries insert entries it
+    // must not visit; a hedge launched below has age 0, so it can
+    // never expire in this sweep. Sorting makes the order
+    // deterministic: the hash map's iteration order is
+    // implementation-defined.
     const fault::RetryPolicy &retry = params_.retry;
-
-    // Hedge scan first: requests old enough to warrant a duplicate
-    // send but not yet expired. Collect, sort, then act — hedging
-    // inserts outstanding entries, which must not be visited here.
-    if (retry.hedgeAfter > 0) {
-        std::vector<std::uint64_t> toHedge;
-        for (const auto &[key, rec] : outstandingRequests_) {
-            const sim::Tick age = sim_.now() - rec.sentAt;
-            if (age >= retry.hedgeAfter &&
-                age < params_.requestTimeout && !rec.hedged)
-                toHedge.push_back(key);
-        }
-        std::sort(toHedge.begin(), toHedge.end());
-        for (const std::uint64_t key : toHedge)
-            hedgeRequest(key);
-    }
-
-    // Collect first, then act: rerouting schedules new outstanding
-    // entries, which must not be visited by this sweep.
+    std::vector<std::uint64_t> toHedge;
     std::vector<std::uint64_t> expired;
     for (const auto &[key, rec] : outstandingRequests_) {
-        if (sim_.now() - rec.sentAt >= params_.requestTimeout)
+        const sim::Tick age = sim_.now() - rec.sentAt;
+        if (age >= params_.requestTimeout)
             expired.push_back(key);
+        else if (retry.hedgeAfter > 0 && age >= retry.hedgeAfter &&
+                 !rec.hedged)
+            toHedge.push_back(key);
     }
-    // Deterministic order: the hash map iterates in an
-    // implementation-defined order, the sweep must not.
+    std::sort(toHedge.begin(), toHedge.end());
     std::sort(expired.begin(), expired.end());
+    for (const std::uint64_t key : toHedge)
+        hedgeRequest(key);
 
     for (const std::uint64_t key : expired) {
         auto it = outstandingRequests_.find(key);
         RV_ASSERT(it != outstandingRequests_.end(),
                   "expired request vanished mid-sweep");
-        const std::uint32_t server = it->second.server;
-        const proto::NodeId client = static_cast<proto::NodeId>(
-            (key / domain_.slotsPerNode) % domain_.numNodes);
-        std::vector<std::uint8_t> request = std::move(it->second.bytes);
-        const std::uint64_t chain = it->second.chain;
-        const std::uint32_t attempt = it->second.attempt;
-        const std::uint64_t sibling = it->second.sibling;
-        const ConnTag connTag = it->second.conn;
-        outstandingRequests_.erase(it);
-        connOnRetired(connTag);
+        Outstanding rec = retire(it, /*signal_conn=*/true);
         // A partially assembled reply for the dead request must not
         // pollute the slot's next use.
         replies_.erase(key);
         ++timeouts_;
-        RV_ASSERT(inFlight_ > 0, "in-flight underflow");
-        --inFlight_;
-        RV_ASSERT(perServerInFlight_[server] > 0,
-                  "per-server in-flight underflow");
-        --perServerInFlight_[server];
         // The slot is deliberately NOT reclaimed unless its replenish
         // already came back (a parked credit proves the server's recv
         // slot is free): a slow-but-alive server still returns it via
@@ -688,27 +615,27 @@ TrafficGenerator::sweepTimeouts()
         // recovers.
         releaseHeldCredit(key);
         if (health_ != nullptr &&
-            health_->reportFailure(server, sim_.now())) {
+            health_->reportFailure(rec.server, sim_.now())) {
             // Transition to down: everything queued toward this
             // server would wait forever — reroute it now.
-            drainPending(server);
+            drainPending(rec.server);
         }
-        if (sibling != kNoKey) {
+        if (rec.sibling != kNoKey) {
             // Half of a hedge pair expired; the surviving half still
             // covers the request, so no re-dispatch — just unlink the
             // survivor (it resolves alone from here).
-            auto sit = outstandingRequests_.find(sibling);
+            auto sit = outstandingRequests_.find(rec.sibling);
             if (sit != outstandingRequests_.end())
                 sit->second.sibling = kNoKey;
             continue;
         }
-        if (retry.maxAttempts > 0 && attempt >= retry.maxAttempts) {
+        if (retry.maxAttempts > 0 && rec.attempt >= retry.maxAttempts) {
             // Attempt budget exhausted: give up for real. A chained
             // member still counts toward its group so the parent's
             // deferred reply is not wedged forever.
             ++retryDrops_;
-            if (chain != 0)
-                onChainMemberDone(chain);
+            if (rec.chain != 0)
+                onChainMemberDone(rec.chain);
             continue;
         }
         // Reroutes keep their chain group: a chain member survives
@@ -718,7 +645,7 @@ TrafficGenerator::sweepTimeouts()
         sim::Tick backoff = 0;
         if (retry.baseBackoff > 0) {
             double delay = static_cast<double>(retry.baseBackoff);
-            for (std::uint32_t a = 1; a < attempt; ++a)
+            for (std::uint32_t a = 1; a < rec.attempt; ++a)
                 delay *= retry.multiplier;
             if (retry.jitter > 0.0) {
                 delay *= 1.0 + retry.jitter *
@@ -726,37 +653,18 @@ TrafficGenerator::sweepTimeouts()
             }
             backoff = static_cast<sim::Tick>(delay);
         }
-        if (connTag.client != proto::noConnClient) {
-            // A retried conn request re-enters the admission gate with
-            // a fresh generation time: its client's group may have
-            // rotated away since the original send.
-            const std::uint32_t connClient = connTag.client;
-            if (backoff == 0) {
-                connSubmit(connClient, std::move(request), chain,
-                           attempt + 1);
-            } else {
-                sim_.schedule(
-                    backoff, [this, connClient, chain, attempt,
-                              request = std::move(request)]() mutable {
-                        if (halted_)
-                            return;
-                        connSubmit(connClient, std::move(request),
-                                   chain, attempt + 1);
-                    });
-            }
-        } else if (backoff == 0) {
+        const proto::NodeId client = std::get<1>(splitKey(key));
+        Request next = std::move(rec);
+        ++next.attempt;
+        if (backoff == 0) {
             // Legacy path: immediate re-dispatch, no extra event.
-            dispatchRequest(client, std::move(request), chain,
-                            attempt + 1);
+            resubmit(client, std::move(next));
         } else {
-            sim_.schedule(
-                backoff, [this, client, chain, attempt,
-                          request = std::move(request)]() mutable {
-                    if (halted_)
-                        return;
-                    dispatchRequest(client, std::move(request), chain,
-                                    attempt + 1);
-                });
+            sim_.schedule(backoff, [this, client,
+                                    next = std::move(next)]() mutable {
+                if (!halted_)
+                    resubmit(client, std::move(next));
+            });
         }
     }
 
@@ -768,17 +676,30 @@ TrafficGenerator::sweepTimeouts()
 }
 
 void
+TrafficGenerator::resubmit(proto::NodeId src, Request req)
+{
+    // A retried conn request re-enters the admission gate with a fresh
+    // generation time: its client's group may have rotated away since
+    // the original send.
+    if (req.conn.client != proto::noConnClient)
+        connSubmit(std::move(req));
+    else
+        dispatchRequest(src, std::move(req));
+}
+
+void
 TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
 {
     auto it = outstandingRequests_.find(primary_key);
     RV_ASSERT(it != outstandingRequests_.end(),
               "hedge candidate vanished mid-sweep");
-    const proto::NodeId client = static_cast<proto::NodeId>(
-        (primary_key / domain_.slotsPerNode) % domain_.numNodes);
+    // References into the map survive the launch's insert and rehash.
+    Outstanding &primary = it->second;
+    const proto::NodeId client = std::get<1>(splitKey(primary_key));
     // Route the duplicate independently — under load-aware routing it
     // lands on a less-loaded (often different) server than the slow
     // primary.
-    const std::uint32_t server = routeRequest(client, it->second.bytes);
+    const std::uint32_t server = routeRequest(client, primary.bytes);
     const std::size_t pair = pairIndex(client, server);
     if (freeSlots_[pair].empty()) {
         // No free slot toward the hedge's target: skip rather than
@@ -789,34 +710,20 @@ TrafficGenerator::hedgeRequest(std::uint64_t primary_key)
     }
     const std::uint32_t slot = freeSlots_[pair].back();
     freeSlots_[pair].pop_back();
-    std::vector<std::uint8_t> copy = it->second.bytes;
-    const std::uint64_t chain = it->second.chain;
-    const std::uint32_t attempt = it->second.attempt;
-    // The duplicate covers the same logical client's request, so it
-    // inherits the primary's connection identity (its admission was
-    // already granted; hedging does not re-enter the gate).
-    const ConnTag connTag = it->second.conn;
-    const std::uint64_t hedgeKey = reqKey(server, client, slot);
-    // The hedge shares the primary's chain group; exactly one of the
-    // pair completes it (the loser retires as a duplicate).
-    launchRequest(client, server, slot, std::move(copy), chain, attempt,
-                  /*is_hedge=*/true, connTag);
+    // The duplicate is a copy of the primary's Request: it shares the
+    // chain group (exactly one of the pair completes it; the loser
+    // retires as a duplicate) and the connection identity (admission
+    // was already granted; hedging does not re-enter the gate).
+    launchRequest(client, server, slot, Request(primary), primary_key);
     ++hedgesSent_;
-    // launchRequest may rehash the map: re-find both halves to link.
-    auto pit = outstandingRequests_.find(primary_key);
-    auto hit = outstandingRequests_.find(hedgeKey);
-    RV_ASSERT(pit != outstandingRequests_.end() &&
-                  hit != outstandingRequests_.end(),
-              "hedge pair lookup failed after launch");
-    pit->second.hedged = true;
-    pit->second.sibling = hedgeKey;
-    hit->second.sibling = primary_key;
+    primary.hedged = true;
+    primary.sibling = reqKey(server, client, slot);
 }
 
 void
 TrafficGenerator::drainPending(std::uint32_t server)
 {
-    std::vector<std::pair<proto::NodeId, PendingRequest>> queued;
+    std::vector<std::pair<proto::NodeId, Request>> queued;
     for (proto::NodeId n = 0; n < domain_.numNodes; ++n) {
         auto &q = pending_[pairIndex(n, server)];
         while (!q.empty()) {
@@ -826,8 +733,7 @@ TrafficGenerator::drainPending(std::uint32_t server)
     }
     for (auto &[client, request] : queued) {
         ++reroutes_;
-        dispatchRequest(client, std::move(request.bytes), request.chain,
-                        request.attempt, request.conn);
+        dispatchRequest(client, std::move(request));
     }
 }
 

@@ -23,6 +23,16 @@
  * bit-identically to the original single-node version: no extra Rng
  * draws, no extra events.
  *
+ * Every request follows one lifecycle. It is submitted (an arrival, a
+ * nested RPC, or a retry), waits as a Request in a queue when its
+ * client's admission gate or its (source, server) slot pool says so,
+ * and is launched into an Outstanding entry keyed by (server, source,
+ * slot). It leaves that entry exactly once, through retire(): by its
+ * reply, by losing a hedge race to its duplicate, or by expiring in
+ * the timeout sweep. An expired request is then resubmitted (at once
+ * or after the retry backoff) or dropped when its attempt budget is
+ * spent.
+ *
  * The generator also plays the fabric side of nested RPC chains
  * (issueNested): a server whose handler fans out to other tiers hands
  * its nested requests here, where they ride the normal client
@@ -36,10 +46,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <tuple>
 #include <unordered_map>
-#include <vector>
-
 #include <unordered_set>
+#include <vector>
 
 #include "app/rpc_application.hh"
 #include "cluster/router.hh"
@@ -154,18 +164,6 @@ class TrafficGenerator : private cluster::ClusterView
     /** Requests injected into the fabric. */
     std::uint64_t requestsSent() const { return requestsSent_; }
 
-    /**
-     * Requests generated per request class (indexed like the
-     * application's requestClasses(); includes requests still deferred
-     * by flow control). The class id is read off the wire bytes, so
-     * this observes exactly what the server will account.
-     */
-    const std::vector<std::uint64_t> &
-    requestsMadeByClass() const
-    {
-        return madeByClass_;
-    }
-
     /** Replies fully received. */
     std::uint64_t repliesReceived() const { return repliesReceived_; }
 
@@ -179,7 +177,7 @@ class TrafficGenerator : private cluster::ClusterView
     std::uint64_t rendezvousRequests() const { return rendezvous_; }
 
     /** Requests currently in flight (slot held). */
-    std::uint64_t inFlight() const { return inFlight_; }
+    std::uint64_t inFlight() const { return outstandingRequests_.size(); }
 
     /** Requests that exceeded the timeout and were given up on. */
     std::uint64_t requestTimeouts() const { return timeouts_; }
@@ -265,6 +263,41 @@ class TrafficGenerator : private cluster::ClusterView
     }
 
   private:
+    /** Sibling sentinel: this request is not half of a hedge pair. */
+    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+    /** A request that is not in flight: waiting for admission or a
+     *  slot, or being resubmitted. The chain id (0 = none) survives
+     *  reroutes, so a chain group's completion count stays exact
+     *  across failover. */
+    struct Request
+    {
+        std::vector<std::uint8_t> bytes;
+        std::uint64_t chain = 0;
+        /** Connection identity (legacy default on anonymous paths). */
+        ConnTag conn{};
+        /** 1-based send attempt (retry-policy budget). */
+        std::uint32_t attempt = 1;
+    };
+
+    /** An in-flight request: the Request (bytes for verification and
+     *  rendezvous) plus the server and send time for timeout-based
+     *  failover. */
+    struct Outstanding : Request
+    {
+        std::uint32_t server = 0;
+        sim::Tick sentAt = 0;
+        /** Key of the other half of the hedge pair (kNoKey = none);
+         *  cleared on the survivor when either side retires. */
+        std::uint64_t sibling = kNoKey;
+        /** This request already has (or had) a hedge — never hedge
+         *  the same request twice. */
+        bool hedged = false;
+        /** This entry IS the hedged duplicate. */
+        bool isHedge = false;
+    };
+    using OutstandingMap = std::unordered_map<std::uint64_t, Outstanding>;
+
     // cluster::ClusterView — what routers may observe.
     std::uint32_t numServers() const override { return params_.numServers; }
     bool isUp(std::uint32_t server) const override;
@@ -292,16 +325,26 @@ class TrafficGenerator : private cluster::ClusterView
                slot;
     }
 
+    /** Inverse of reqKey: (server, client, slot). */
+    std::tuple<std::uint32_t, proto::NodeId, std::uint32_t>
+    splitKey(std::uint64_t key) const
+    {
+        return {static_cast<std::uint32_t>(
+                    key / domain_.slotsPerNode / domain_.numNodes),
+                static_cast<proto::NodeId>(
+                    key / domain_.slotsPerNode % domain_.numNodes),
+                static_cast<std::uint32_t>(key % domain_.slotsPerNode)};
+    }
+
     void onArrival();
     /** Uniformly random remote source node (skips the server block). */
     proto::NodeId pickClientNode();
     /** Deterministic emulated source node of a logical client. */
     proto::NodeId connNodeFor(std::uint32_t client) const;
-    /** Admission gate: dispatch now if the scheduler allows, else
-     *  queue on the client until the scheduler releases it. */
-    void connSubmit(std::uint32_t client,
-                    std::vector<std::uint8_t> request,
-                    std::uint64_t chain, std::uint32_t attempt);
+    /** Admission gate for @p req of client req.conn.client: stamp its
+     *  generation time, then dispatch now if the scheduler allows,
+     *  else queue on the client until the scheduler releases it. */
+    void connSubmit(Request req);
     /** The scheduler's AdmitFn: release up to @p limit queued
      *  requests of @p client (0 = all); returns the count released. */
     std::uint32_t connFlush(std::uint32_t client, std::uint32_t limit);
@@ -311,22 +354,26 @@ class TrafficGenerator : private cluster::ClusterView
     /** The exactly-once drain signal for any conn-tagged request
      *  leaving the outstanding set (no-op on legacy tags). */
     void connOnRetired(const ConnTag &tag);
-    /** Bump the per-class generation counter off the wire bytes. */
-    void countRequestClass(const std::vector<std::uint8_t> &request);
-    /** Route @p request and launch it (or queue it on the chosen
-     *  server's slot pool). @p chain ties it to a chain group
-     *  (0 = ordinary client request); @p attempt is 1-based. */
-    void dispatchRequest(proto::NodeId src,
-                         std::vector<std::uint8_t> request,
-                         std::uint64_t chain, std::uint32_t attempt = 1,
-                         ConnTag conn = ConnTag());
+    /** Route @p req from @p src and launch it (or queue it on the
+     *  chosen server's slot pool). */
+    void dispatchRequest(proto::NodeId src, Request req);
     std::uint32_t routeRequest(proto::NodeId src,
                                const std::vector<std::uint8_t> &request);
+    /** Send @p req on @p slot; a hedge passes its primary's key as
+     *  @p sibling. */
     void launchRequest(proto::NodeId src, std::uint32_t server,
-                       std::uint32_t slot,
-                       std::vector<std::uint8_t> request,
-                       std::uint64_t chain, std::uint32_t attempt = 1,
-                       bool is_hedge = false, ConnTag conn = ConnTag());
+                       std::uint32_t slot, Request req,
+                       std::uint64_t sibling = kNoKey);
+    /**
+     * The one exit from the outstanding set: erase the entry at @p it
+     * and release its server's in-flight count. With @p signal_conn
+     * the connection scheduler hears of the retirement in between (a
+     * hedge loser or an expiry); a reply signals it later itself.
+     */
+    Outstanding retire(OutstandingMap::iterator it, bool signal_conn);
+    /** Re-enter a timed-out request: conn-tagged ones pass the
+     *  admission gate again, anonymous ones dispatch from @p src. */
+    void resubmit(proto::NodeId src, Request req);
     /** Send a hedged duplicate of the outstanding request at
      *  @p primary_key (no-op if no slot is free at the hedge's
      *  routed target — the next sweep retries). */
@@ -369,45 +416,11 @@ class TrafficGenerator : private cluster::ClusterView
 
     /** Free request-slot numbers per (client, server) pair. */
     std::vector<std::vector<std::uint32_t>> freeSlots_;
-    /** A request waiting for a slot; chain 0 = ordinary request. */
-    struct PendingRequest
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t chain = 0;
-        std::uint32_t attempt = 1;
-        ConnTag conn{};
-    };
     /** Requests waiting for a slot, per (client, server) pair. */
-    std::vector<std::deque<PendingRequest>> pending_;
+    std::vector<std::deque<Request>> pending_;
 
-    /** An in-flight request: bytes for verification/rendezvous, plus
-     *  the server and send time for timeout-based failover. The chain
-     *  id (0 = none) survives reroutes, so a chain group's completion
-     *  count stays exact across failover. */
-    /** Sibling sentinel: this request is not half of a hedge pair. */
-    static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
-
-    struct Outstanding
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint32_t server = 0;
-        sim::Tick sentAt = 0;
-        std::uint64_t chain = 0;
-        /** 1-based send attempt (retry-policy budget). */
-        std::uint32_t attempt = 1;
-        /** This request already has (or had) a hedge — never hedge
-         *  the same request twice. */
-        bool hedged = false;
-        /** This entry IS the hedged duplicate. */
-        bool isHedge = false;
-        /** Key of the other half of the hedge pair (kNoKey = none);
-         *  cleared on the survivor when either side retires. */
-        std::uint64_t sibling = kNoKey;
-        /** Connection identity (legacy default on anonymous paths). */
-        ConnTag conn{};
-    };
     /** Outstanding requests keyed by reqKey(server, client, slot). */
-    std::unordered_map<std::uint64_t, Outstanding> outstandingRequests_;
+    OutstandingMap outstandingRequests_;
 
     /** Slot credits whose replenish arrived while the request was
      *  still outstanding on that very slot — possible only when the
@@ -441,11 +454,9 @@ class TrafficGenerator : private cluster::ClusterView
     std::uint64_t nextChainId_ = 1;
 
     std::uint64_t requestsSent_ = 0;
-    std::vector<std::uint64_t> madeByClass_;
     std::uint64_t repliesReceived_ = 0;
     std::uint64_t verifyFailures_ = 0;
     std::uint64_t deferrals_ = 0;
-    std::uint64_t inFlight_ = 0;
     std::uint64_t rendezvous_ = 0;
     std::uint64_t timeouts_ = 0;
     std::uint64_t reroutes_ = 0;
@@ -469,16 +480,8 @@ class TrafficGenerator : private cluster::ClusterView
     /** Client-identity stream; drawn only when the population model
      *  is active, so legacy runs stay bit-identical. */
     sim::Rng connRng_;
-    /** A request waiting for its client's admission. */
-    struct ConnDeferred
-    {
-        std::vector<std::uint8_t> bytes;
-        std::uint64_t chain = 0;
-        std::uint32_t attempt = 1;
-        sim::Tick genAt = 0;
-    };
-    /** Deferred requests, per logical client. */
-    std::vector<std::deque<ConnDeferred>> connQueue_;
+    /** Requests waiting for their client's admission, per client. */
+    std::vector<std::deque<Request>> connQueue_;
     std::uint64_t connAdmittedImmediate_ = 0;
     std::uint64_t connDeferredTotal_ = 0;
     std::uint64_t connFlushed_ = 0;
