@@ -44,7 +44,9 @@ parseConnConfig(const std::string &text)
         static_cast<std::uint32_t>(spec.uintParam("clients", 0));
     cfg.qpCapacity =
         static_cast<std::uint32_t>(spec.uintParam("qp_capacity", 0));
-    cfg.qpColdNs = spec.doubleParam("qp_cold", cfg.qpColdNs);
+    // A duration like the scenario key: "1us", or bare nanoseconds.
+    if (spec.has("qp_cold"))
+        cfg.qpColdNs = sim::toNs(spec.tickParam("qp_cold", 0));
     spec.params.erase("clients");
     spec.params.erase("qp_capacity");
     spec.params.erase("qp_cold");

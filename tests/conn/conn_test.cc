@@ -117,6 +117,18 @@ TEST(ConnConfig, QpCapacityDerivesFromGroupSizeThenDefault)
               64u);
 }
 
+TEST(ConnConfig, QpColdTakesTheDurationGrammar)
+{
+    // The same grammar as the scenario key `qp_cold = 1us`; a bare
+    // number is nanoseconds.
+    EXPECT_DOUBLE_EQ(conn::parseConnConfig("all:clients=2048,qp_capacity=64,"
+                                           "qp_cold=1us")
+                         .qpColdNs,
+                     1000.0);
+    EXPECT_DOUBLE_EQ(
+        conn::parseConnConfig("all:clients=8,qp_cold=800").qpColdNs, 800.0);
+}
+
 // ----- grouped mechanics, driven directly -----
 
 /** Test harness: a queue per client behind the scheduler's AdmitFn. */
