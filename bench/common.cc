@@ -13,6 +13,7 @@
 #include "scenario/runner.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 #include "stats/json.hh"
 
 namespace rpcvalet::bench {
@@ -184,6 +185,21 @@ writeJsonReport()
     std::printf("[json] wrote %s\n", r.path.c_str());
 }
 
+/** Numeric flag @p arg with value @p text: an integer in [lo, hi] in
+ *  the spec grammar (sim::parseUint), or fatal() naming the flag. */
+std::uint64_t
+flagCount(const std::string &arg, const char *text, std::uint64_t lo,
+          std::uint64_t hi = ~std::uint64_t{0})
+{
+    const sim::ErrorContext where(arg);
+    const std::uint64_t n = sim::parseUint(text);
+    if (n < lo)
+        sim::fatal("must be at least " + std::to_string(lo));
+    if (n > hi)
+        sim::fatal("must be at most " + std::to_string(hi));
+    return n;
+}
+
 } // namespace
 
 BenchArgs
@@ -210,38 +226,24 @@ parseArgs(int argc, char **argv)
         if (scenario::parseAxisFlag(arg, args))
             continue;
         if (const char *points = value("--points=")) {
-            args.points = static_cast<std::size_t>(std::atoll(points));
+            // A load sweep needs both ends of its grid.
+            args.points = static_cast<std::size_t>(flagCount(arg, points, 2));
             points_set = true;
         } else if (const char *rpcs = value("--rpcs=")) {
-            args.rpcs = static_cast<std::uint64_t>(std::atoll(rpcs));
+            args.rpcs = flagCount(arg, rpcs, 1);
             rpcs_set = true;
         } else if (const char *warmup = value("--warmup=")) {
-            args.warmup = static_cast<std::uint64_t>(std::atoll(warmup));
+            args.warmup = flagCount(arg, warmup, 0);
             warmup_set = true;
         } else if (const char *seed = value("--seed="))
-            args.seed = static_cast<std::uint64_t>(std::atoll(seed));
-        else if (const char *threads = value("--threads=")) {
-            // atoi would silently turn junk or negatives into a bogus
-            // worker count; a sweep with 0 threads hangs and -4 wraps.
-            char *end = nullptr;
-            const long parsed = std::strtol(threads, &end, 10);
-            if (end == threads || *end != '\0' || parsed <= 0 ||
-                parsed > 1024) {
-                sim::fatal("--threads=" + std::string(threads) +
-                           ": expected an integer in [1, 1024]");
-            }
-            args.threads = static_cast<unsigned>(parsed);
-        } else if (const char *domains = value("--parallel-domains=")) {
-            char *end = nullptr;
-            const long parsed = std::strtol(domains, &end, 10);
-            if (end == domains || *end != '\0' || parsed < 0 ||
-                parsed > 1024) {
-                sim::fatal("--parallel-domains=" +
-                           std::string(domains) +
-                           ": expected an integer in [0, 1024]");
-            }
-            args.parallelDomains = static_cast<unsigned>(parsed);
-        } else if (const char *fault = value("--fault=")) {
+            args.seed = flagCount(arg, seed, 0);
+        else if (const char *threads = value("--threads="))
+            args.threads =
+                static_cast<unsigned>(flagCount(arg, threads, 1, 1024));
+        else if (const char *domains = value("--parallel-domains="))
+            args.parallelDomains =
+                static_cast<unsigned>(flagCount(arg, domains, 0, 1024));
+        else if (const char *fault = value("--fault=")) {
             if (*fault == '\0')
                 sim::fatal("--fault needs a spec (e.g. "
                            "--fault=packet-loss:p=0.01)");

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -15,6 +14,7 @@
 #include "net/arrival.hh"
 #include "ni/dispatch_policy.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace rpcvalet::scenario {
 
@@ -53,28 +53,6 @@ splitList(const std::string &value)
     }
 }
 
-double
-parseDouble(const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || errno != 0 ||
-        !std::isfinite(parsed))
-        sim::fatal("'" + value + "' is not a number");
-    return parsed;
-}
-
-std::uint64_t
-parseUint(const std::string &value)
-{
-    const double parsed = parseDouble(value);
-    if (parsed < 0.0 || parsed >= 0x1p64 ||
-        parsed != std::floor(parsed))
-        sim::fatal("'" + value + "' is not a non-negative integer");
-    return static_cast<std::uint64_t>(parsed);
-}
-
 bool
 parseBool(const std::string &value)
 {
@@ -86,33 +64,6 @@ parseBool(const std::string &value)
         return false;
     sim::fatal("'" + value + "' is not a boolean (true/false)");
     return false; // unreachable
-}
-
-/** Duration with the spec grammar's units: bare ns, or ns/us/ms. */
-sim::Tick
-parseTick(const std::string &value)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || errno != 0)
-        sim::fatal("'" + value + "' is not a duration");
-    const std::string unit = trim(end);
-    double ns = 0.0;
-    if (unit.empty() || unit == "ns")
-        ns = parsed;
-    else if (unit == "us")
-        ns = parsed * 1e3;
-    else if (unit == "ms")
-        ns = parsed * 1e6;
-    else {
-        sim::fatal("duration '" + value + "' has unknown unit '" +
-                   unit + "' (use ns, us, or ms)");
-    }
-    if (!std::isfinite(ns) || ns < 0.0 ||
-        ns * static_cast<double>(sim::ticksPerNs) >= 0x1p63)
-        sim::fatal("duration '" + value + "' is out of range");
-    return sim::nanoseconds(ns);
 }
 
 /** Instantiate @p Registry's component for @p text, so a bad spec
@@ -212,7 +163,8 @@ class Parser
         else if (section_ == "sweep")
             sweepKey(key, value);
         else if (section_ == "slo")
-            out_.slos.push_back(SloBound{key, sim::toNs(parseTick(value))});
+            out_.slos.push_back(
+                SloBound{key, sim::toNs(sim::parseTick(value))});
         else
             outputKey(key, value);
     }
@@ -294,18 +246,18 @@ class Parser
         } else if (key == "mode") {
             out_.base.system.mode = ni::dispatchModeFromName(value);
         } else if (key == "warmup") {
-            out_.base.warmupRpcs = parseUint(value);
+            out_.base.warmupRpcs = sim::parseUint(value);
         } else if (key == "measured") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n == 0)
                 sim::fatal("'measured' must be at least 1");
             out_.base.measuredRpcs = n;
         } else if (key == "seed") {
-            out_.base.system.seed = parseUint(value);
+            out_.base.system.seed = sim::parseUint(value);
         } else if (key == "turnaround") {
-            out_.base.clientTurnaround = parseTick(value);
+            out_.base.clientTurnaround = sim::parseTick(value);
         } else if (key == "parallel_domains") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n > 1024)
                 die("'parallel_domains' must be at most 1024");
             out_.base.parallelDomains = static_cast<unsigned>(n);
@@ -320,19 +272,19 @@ class Parser
     {
         if (key == "shards") {
             out_.base.cluster.shards =
-                static_cast<std::uint32_t>(parseUint(value));
+                static_cast<std::uint32_t>(sim::parseUint(value));
         } else if (key == "timeout") {
-            out_.base.cluster.requestTimeout = parseTick(value);
+            out_.base.cluster.requestTimeout = sim::parseTick(value);
         } else if (key == "fail_threshold") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1)
                 sim::fatal("'fail_threshold' must be at least 1");
             out_.base.cluster.failThreshold =
                 static_cast<std::uint32_t>(n);
         } else if (key == "recovery_after") {
-            out_.base.cluster.recoveryAfter = parseTick(value);
+            out_.base.cluster.recoveryAfter = sim::parseTick(value);
         } else if (key == "sweep_interval") {
-            const sim::Tick t = parseTick(value);
+            const sim::Tick t = sim::parseTick(value);
             if (t == 0)
                 sim::fatal("'sweep_interval' must be > 0 (omit the key "
                            "to derive it from the timeout)");
@@ -349,23 +301,23 @@ class Parser
         if (key == "nodes") {
             // Messaging-domain size: emulated endpoints the logical
             // clients are multiplexed onto, NOT the server count.
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 2 || n > 100000)
                 sim::fatal("'nodes' must be in [2, 100000]");
             out_.base.system.domain.numNodes =
                 static_cast<std::uint32_t>(n);
         } else if (key == "clients") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1 || n > (1u << 24))
                 sim::fatal("'clients' must be in [1, 2^24]");
             out_.base.connections.numClients =
                 static_cast<std::uint32_t>(n);
         } else if (key == "qp_capacity") {
             out_.base.connections.qpCapacity =
-                static_cast<std::uint32_t>(parseUint(value));
+                static_cast<std::uint32_t>(sim::parseUint(value));
         } else if (key == "qp_cold") {
             out_.base.connections.qpColdNs =
-                sim::toNs(parseTick(value));
+                sim::toNs(sim::parseTick(value));
         } else {
             unknownKey(key, {"nodes", "clients", "qp_capacity", "qp_cold"});
         }
@@ -385,21 +337,21 @@ class Parser
             out_.base.faults.push_back(spec);
         } else if (key == "retry_max_attempts") {
             out_.base.retry.maxAttempts =
-                static_cast<std::uint32_t>(parseUint(value));
+                static_cast<std::uint32_t>(sim::parseUint(value));
         } else if (key == "retry_backoff") {
-            out_.base.retry.baseBackoff = parseTick(value);
+            out_.base.retry.baseBackoff = sim::parseTick(value);
         } else if (key == "retry_multiplier") {
-            const double m = parseDouble(value);
-            if (m < 1.0)
-                sim::fatal("'retry_multiplier' must be >= 1");
+            const double m = sim::parseDouble(value);
+            if (!(m >= 1.0) || std::isinf(m))
+                sim::fatal("'retry_multiplier' must be >= 1 and finite");
             out_.base.retry.multiplier = m;
         } else if (key == "retry_jitter") {
-            const double j = parseDouble(value);
-            if (j < 0.0 || j > 1.0)
+            const double j = sim::parseDouble(value);
+            if (!(j >= 0.0 && j <= 1.0))
                 sim::fatal("'retry_jitter' must be in [0, 1]");
             out_.base.retry.jitter = j;
         } else if (key == "hedge_after") {
-            out_.base.retry.hedgeAfter = parseTick(value);
+            out_.base.retry.hedgeAfter = sim::parseTick(value);
         } else {
             unknownKey(key, {"fault", "retry_max_attempts", "retry_backoff",
                              "retry_multiplier", "retry_jitter",
@@ -412,7 +364,7 @@ class Parser
     {
         if (key == "load") {
             for (const std::string &item : splitList(value)) {
-                const double f = parseDouble(item);
+                const double f = sim::parseDouble(item);
                 if (!(f > 0.0) || f > 4.0)
                     sim::fatal("load fraction '" + item +
                                "' must be in (0, 4]");
@@ -420,13 +372,14 @@ class Parser
             }
         } else if (key == "rps") {
             for (const std::string &item : splitList(value)) {
-                const double r = parseDouble(item);
-                if (!(r > 0.0))
-                    sim::fatal("rps '" + item + "' must be positive");
+                const double r = sim::parseDouble(item);
+                if (!(r > 0.0) || std::isinf(r))
+                    sim::fatal("rps '" + item +
+                               "' must be positive and finite");
                 out_.absoluteRps.push_back(r);
             }
         } else if (key == "threads") {
-            const std::uint64_t n = parseUint(value);
+            const std::uint64_t n = sim::parseUint(value);
             if (n < 1 || n > 1024)
                 sim::fatal("'threads' must be in [1, 1024]");
             out_.threads = static_cast<unsigned>(n);
@@ -538,7 +491,7 @@ axes()
         {"nodes", "cluster", &Scenario::nodeCounts, &AxisValues::nodes,
          true, false, true,
          [](const std::string &text) {
-             const std::uint64_t n = parseUint(text);
+             const std::uint64_t n = sim::parseUint(text);
              if (n < 1 || n > 64)
                  sim::fatal("node count '" + text + "' must be in [1, 64]");
              if (text != std::to_string(n))
@@ -547,7 +500,7 @@ axes()
          },
          [](const std::string &text, Config &cfg) {
              cfg.cluster.numServerNodes =
-                 static_cast<std::uint32_t>(parseUint(text));
+                 static_cast<std::uint32_t>(sim::parseUint(text));
          },
          [](const Config &cfg) {
              return std::to_string(cfg.cluster.numServerNodes);

@@ -70,84 +70,99 @@ Spec::has(const std::string &key) const
 
 namespace {
 
-/** Parse a full string as a number; fatal() on trailing junk. */
+/** The leading number of @p text, with @p rest set past it; fatal()
+ *  when there is none. */
 double
-parseNumber(const Spec &spec, const std::string &key,
-            const std::string &value, const char **suffix_out = nullptr)
+leadingNumber(const std::string &text, const char *&rest,
+              const char *noun)
 {
     errno = 0;
     char *end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || errno != 0) {
-        fatal(spec.what + " '" + spec.toString() + "': parameter '" +
-              key + "=" + value + "' is not a number");
-    }
-    if (suffix_out != nullptr)
-        *suffix_out = end;
-    else if (*end != '\0')
-        fatal(spec.what + " '" + spec.toString() + "': parameter '" +
-              key + "=" + value + "' has trailing characters");
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || errno != 0)
+        fatal("'" + text + "' is not a " + noun);
+    rest = end;
     return parsed;
+}
+
+/** Parameter @p key of @p spec through @p parse, @p fallback when
+ *  absent; errors name the spec and the key. */
+template <typename T>
+T
+param(const Spec &spec, const std::string &key, T fallback,
+      T (*parse)(const std::string &))
+{
+    const auto it = spec.params.find(key);
+    if (it == spec.params.end())
+        return fallback;
+    const ErrorContext where(spec.what + " '" + spec.toString() +
+                             "': parameter '" + key + "'");
+    return parse(it->second);
 }
 
 } // namespace
 
-std::uint64_t
-Spec::uintParam(const std::string &key, std::uint64_t fallback) const
+double
+parseDouble(const std::string &text)
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const double parsed = parseNumber(*this, key, it->second);
+    const char *rest = nullptr;
+    const double parsed = leadingNumber(text, rest, "number");
+    if (*rest != '\0')
+        fatal("'" + text + "' has trailing characters");
+    return parsed;
+}
+
+std::uint64_t
+parseUint(const std::string &text)
+{
+    const double parsed = parseDouble(text);
     // Range-check before the cast: converting a non-finite or
     // unrepresentable double to uint64_t is undefined behavior.
     if (!std::isfinite(parsed) || parsed < 0.0 || parsed >= 0x1p64 ||
-        parsed != std::floor(parsed)) {
-        fatal(what + " '" + toString() + "': parameter '" + key + "=" +
-              it->second + "' is not a non-negative integer");
-    }
+        parsed != std::floor(parsed))
+        fatal("'" + text + "' is not a non-negative integer");
     return static_cast<std::uint64_t>(parsed);
+}
+
+Tick
+parseTick(const std::string &text)
+{
+    const char *rest = nullptr;
+    const double parsed = leadingNumber(text, rest, "duration");
+    const std::string unit(rest);
+    double ns = parsed;
+    if (unit == "us")
+        ns = parsed * 1e3;
+    else if (unit == "ms")
+        ns = parsed * 1e6;
+    else if (!unit.empty() && unit != "ns")
+        fatal("'" + text + "' has unknown unit '" + unit +
+              "' (use ns, us, or ms)");
+    // Range-check before nanoseconds() casts to Tick: a non-finite or
+    // unrepresentable double is undefined behavior. 2^63 ps is ~107
+    // days of simulated time, far beyond any run.
+    if (!std::isfinite(ns) || ns < 0.0 ||
+        ns * static_cast<double>(ticksPerNs) >= 0x1p63)
+        fatal("'" + text + "' is out of range");
+    return nanoseconds(ns);
+}
+
+std::uint64_t
+Spec::uintParam(const std::string &key, std::uint64_t fallback) const
+{
+    return param(*this, key, fallback, &parseUint);
 }
 
 double
 Spec::doubleParam(const std::string &key, double fallback) const
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    return parseNumber(*this, key, it->second);
+    return param(*this, key, fallback, &parseDouble);
 }
 
 Tick
 Spec::tickParam(const std::string &key, Tick fallback) const
 {
-    const auto it = params.find(key);
-    if (it == params.end())
-        return fallback;
-    const char *suffix = nullptr;
-    const double parsed = parseNumber(*this, key, it->second, &suffix);
-    const std::string unit(suffix);
-    double ns = 0.0;
-    if (unit.empty() || unit == "ns")
-        ns = parsed;
-    else if (unit == "us")
-        ns = parsed * 1e3;
-    else if (unit == "ms")
-        ns = parsed * 1e6;
-    else {
-        fatal(what + " '" + toString() + "': duration '" + key + "=" +
-              it->second + "' has unknown unit '" + unit +
-              "' (use ns, us, or ms)");
-    }
-    // Range-check before sim::nanoseconds casts to Tick: a non-finite
-    // or unrepresentable double is undefined behavior. 2^63 ps is
-    // ~107 days of simulated time, far beyond any run.
-    if (!std::isfinite(ns) || ns < 0.0 ||
-        ns * static_cast<double>(ticksPerNs) >= 0x1p63) {
-        fatal(what + " '" + toString() + "': duration '" + key + "=" +
-              it->second + "' is out of range");
-    }
-    return nanoseconds(ns);
+    return param(*this, key, fallback, &parseTick);
 }
 
 void

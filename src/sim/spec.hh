@@ -31,6 +31,21 @@
 
 namespace rpcvalet::sim {
 
+/**
+ * The one number and duration grammar, shared by spec parameters,
+ * scenario keys and command-line flags. The whole of @p text must
+ * parse; errors are fatal() and quote @p text, so callers push an
+ * ErrorContext to say where it came from.
+ */
+/** Unsigned integer (any number that is integral and in [0, 2^64),
+ *  "1e3" included). */
+std::uint64_t parseUint(const std::string &text);
+/** Floating-point number; inf and nan parse, callers range-check. */
+double parseDouble(const std::string &text);
+/** Duration: a bare number (nanoseconds) or one with an "ns", "us" or
+ *  "ms" suffix, below 2^63 ticks. */
+Tick parseTick(const std::string &text);
+
 /** A component selection: registry name plus key=value parameters. */
 struct Spec
 {
@@ -64,10 +79,7 @@ struct Spec
     /** Floating-point parameter, @p fallback when absent. */
     double doubleParam(const std::string &key, double fallback) const;
 
-    /**
-     * Duration parameter, @p fallback when absent. Accepts a bare
-     * number (nanoseconds) or an explicit "ns"/"us"/"ms" suffix.
-     */
+    /** Duration parameter (see parseTick), @p fallback when absent. */
     Tick tickParam(const std::string &key, Tick fallback) const;
 
     /**

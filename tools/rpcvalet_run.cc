@@ -40,6 +40,7 @@
 #include "scenario/scenario.hh"
 #include "sim/build_info.hh"
 #include "sim/logging.hh"
+#include "sim/spec.hh"
 
 namespace {
 
@@ -99,13 +100,15 @@ parseArgs(int argc, char **argv)
             if (opt.outDir.empty())
                 sim::fatal("--out needs a directory");
         } else if (arg.rfind("--threads=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 10, nullptr, 10);
+            const sim::ErrorContext where(arg);
+            const std::uint64_t n = sim::parseUint(arg.substr(10));
             if (n < 1 || n > 1024)
                 sim::fatal("--threads must be in [1, 1024]");
             opt.threads = static_cast<unsigned>(n);
         } else if (arg.rfind("--parallel-domains=", 0) == 0) {
-            const long n = std::strtol(arg.c_str() + 19, nullptr, 10);
-            if (n < 0 || n > 1024)
+            const sim::ErrorContext where(arg);
+            const std::uint64_t n = sim::parseUint(arg.substr(19));
+            if (n > 1024)
                 sim::fatal("--parallel-domains must be in [0, 1024]");
             opt.parallelDomains = static_cast<int>(n);
         } else if (arg == "--dry-run") {
