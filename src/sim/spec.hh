@@ -31,12 +31,11 @@
 
 namespace rpcvalet::sim {
 
-/**
- * The one number and duration grammar, shared by spec parameters,
- * scenario keys and command-line flags. The whole of @p text must
- * parse; errors are fatal() and quote @p text, so callers push an
- * ErrorContext to say where it came from.
- */
+// The one number and duration grammar, shared by spec parameters,
+// scenario keys and command-line flags. The whole text must parse;
+// errors are fatal() and quote the text, so callers push an
+// ErrorContext to say where it came from.
+
 /** Unsigned integer (any number that is integral and in [0, 2^64),
  *  "1e3" included). */
 std::uint64_t parseUint(const std::string &text);
